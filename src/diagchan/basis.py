@@ -75,11 +75,13 @@ class HermitianBasis:
             raise ValueError(f"dimension must be at least 2, got {n}")
         if arr.shape != (n * n, n, n):
             raise ValueError(f"expected {(n * n, n, n)} element stack, got {arr.shape}")
-        drift = max(max_norm(e - dagger(e)) for e in arr)
+        drift = max_norm(arr - arr.conj().transpose(0, 2, 1))
         if drift > ORTHONORMALITY_ATOL:
             raise ValueError(f"basis elements are not Hermitian: max drift {drift:.3e}")
-        gram = np.einsum("aij,bij->ab", arr.conj(), arr)
-        if max_norm(gram - np.eye(n * n)) > ORTHONORMALITY_ATOL:
+        flat = arr.reshape(n * n, n * n)
+        gram = flat.conj() @ flat.T
+        gram[np.diag_indices(n * n)] -= 1.0  # in place: no second n^4 array
+        if max_norm(gram) > ORTHONORMALITY_ATOL:
             raise ValueError("basis is not orthonormal under the Hilbert-Schmidt inner product")
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
@@ -102,12 +104,12 @@ def orthonormal_basis(n: int) -> HermitianBasis:
     the m-th traceless diagonal matrix by 1/sqrt(m(m+1)). Results are
     cached per dimension and safe to share.
     """
-    mats = generalized_pauli(n)
+    elements = np.stack(generalized_pauli(n))
     num_pairs = n * (n - 1) // 2
     scales = [1.0 / np.sqrt(n)]
     scales += [1.0 / np.sqrt(2.0)] * (2 * num_pairs)
     scales += [1.0 / np.sqrt(m * (m + 1.0)) for m in range(1, n)]
-    elements = np.stack([s * m for s, m in zip(scales, mats)])
+    elements *= np.array(scales)[:, None, None]
     return HermitianBasis(n, elements)
 
 

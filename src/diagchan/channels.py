@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .basis import expand, orthonormal_basis, reconstruct
-from .linalg import DEFAULT_TOL, dagger, hermitian_eigenvalues, matrix_unit, max_norm
+from .linalg import DEFAULT_TOL, as_complex_matrix, dagger, hermitian_eigenvalues, max_norm
 
 #: Slack applied to family parameter bounds and coefficient bounds.
 BOUND_SLACK = 1e-12
@@ -145,25 +146,89 @@ def channel_coefficients(channel) -> tuple[int, np.ndarray]:
     return n, arr
 
 
-def apply_channel(channel, a) -> np.ndarray:
-    """Apply a diagonal channel: expand, scale each coefficient, reconstruct."""
+class _Blocks(NamedTuple):
+    """A coefficient vector split by basis block.
+
+    ``coupled`` and ``pair`` are symmetric n x n matrices with zero diagonal
+    holding (s+a)/2 and (s-a)/2 at (i, j) and (j, i) for every pair i < j,
+    where s and a are the pair's symmetric and antisymmetric coefficients.
+    ``t`` holds the leading coefficient followed by the n-1 diagonal-block
+    coefficients, and ``w`` is the diagonal sub-basis acting on them.
+    """
+
+    n: int
+    coupled: np.ndarray
+    pair: np.ndarray
+    t: np.ndarray
+    w: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _diagonal_sub_basis(n: int) -> np.ndarray:
+    """Read-only n x n orthogonal matrix W whose rows are the diagonals of
+    the identity/sqrt(n) and of the n-1 traceless diagonal basis elements."""
+    w = np.zeros((n, n))
+    w[0] = 1.0 / np.sqrt(n)
+    for m in range(1, n):
+        w[m, :m] = 1.0
+        w[m, m] = -float(m)
+        w[m] /= np.sqrt(m * (m + 1.0))
+    w.setflags(write=False)
+    return w
+
+
+def _blocks(channel) -> _Blocks:
+    """Split a channel's coefficients into its (s, a, t) blocks, in O(n^2)."""
     n, coeffs = channel_coefficients(channel)
-    basis = orthonormal_basis(n)
-    return reconstruct(coeffs * expand(a, basis), basis)
+    num_pairs = n * (n - 1) // 2
+    s = coeffs[1:1 + num_pairs]
+    a = coeffs[1 + num_pairs:1 + 2 * num_pairs]
+    rows, cols = np.triu_indices(n, 1)  # the order of basis.pair_indices
+    coupled = np.zeros((n, n))
+    pair = np.zeros((n, n))
+    coupled[rows, cols] = coupled[cols, rows] = (s + a) / 2.0
+    pair[rows, cols] = pair[cols, rows] = (s - a) / 2.0
+    t = np.concatenate([coeffs[:1], coeffs[1 + 2 * num_pairs:]])
+    return _Blocks(n, coupled, pair, t, _diagonal_sub_basis(n))
+
+
+def apply_channel(channel, a) -> np.ndarray:
+    """Apply a diagonal channel in O(n^2) from its coefficient blocks.
+
+    Off the diagonal ``Phi(X)_ij = ((s+a)/2) X_ij + ((s-a)/2) X_ji`` for the
+    pair (i, j); on it ``diag Phi(X) = W^T (t * W diag X)``. This equals
+    expanding X in the orthonormal basis, scaling each coefficient and
+    reconstructing, without the n^2 basis elements.
+    """
+    b = _blocks(channel)
+    m = as_complex_matrix(a)
+    if m.shape != (b.n, b.n):
+        raise ValueError(f"expected a {b.n}x{b.n} matrix, got shape {m.shape}")
+    out = b.coupled * m + b.pair * m.T
+    np.fill_diagonal(out, b.w.T @ (b.t * (b.w @ np.diag(m))))
+    return out
 
 
 def choi_matrix(channel) -> np.ndarray:
-    """The n^2 x n^2 Choi matrix, assembled block-wise.
+    """The n^2 x n^2 Choi matrix, scattered from the coefficient blocks.
 
     Block (i, j) of size n x n is the channel image of the matrix unit
-    E_ij. The result is validated Hermitian and symmetrized exactly.
+    E_ij: block (i, i) is ``diag(M[i])`` with ``M = W^T diag(t) W``, the
+    coupled slots (i*n+i, j*n+j) hold (s+a)/2 and the pair slots
+    (i*n+j, j*n+i) hold (s-a)/2. Every other entry is zero. The result is
+    validated Hermitian and symmetrized exactly.
     """
-    n, coeffs = channel_coefficients(channel)
+    b = _blocks(channel)
+    n = b.n
     c = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            block = apply_channel(coeffs, matrix_unit(n, i, j))
-            c[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
+    idx = np.arange(n)
+    units = idx[:, None] * n + idx  # units[i, j] = i*n + j
+    slots = np.diagonal(units)
+    # Pair slots first: where i == j they land on the diagonal and are
+    # overwritten below, as are the zero diagonals of the coupled block.
+    c[units, units.T] = b.pair
+    c[np.ix_(slots, slots)] = b.coupled
+    np.fill_diagonal(c, (b.w.T @ (b.t[:, None] * b.w)).ravel())
     drift = max_norm(c - dagger(c))
     if drift > 1e-12:
         raise ArithmeticError(f"Choi matrix failed the Hermiticity check: drift {drift:.3e}")
@@ -181,11 +246,11 @@ def is_completely_positive(channel, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_trace_preserving(channel, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the channel preserves the trace of every basis element."""
+    """Whether the channel preserves the trace of every basis element.
+
+    Every basis element but the first is traceless and maps to a multiple
+    of itself, so only the identity/sqrt(n) can change its trace, by
+    ``|c_0 - 1| sqrt(n)``.
+    """
     n, coeffs = channel_coefficients(channel)
-    basis = orthonormal_basis(n)
-    for element in basis:
-        drift = abs(complex(np.trace(apply_channel(coeffs, element))) - complex(np.trace(element)))
-        if drift > tol:
-            return False
-    return True
+    return bool(abs(coeffs[0] - 1.0) * math.sqrt(n) <= tol)

@@ -26,7 +26,6 @@ from .channels import (
     choi_matrix,
     apply_channel,
     is_trace_preserving,
-    min_choi_eigenvalue,
 )
 from .kraus import (
     DegenerateChannelError,
@@ -34,7 +33,7 @@ from .kraus import (
     kraus_from_choi,
     reconstruction_residual,
 )
-from .linalg import NotPositiveSemidefiniteError, as_density_matrix
+from .linalg import NotPositiveSemidefiniteError, as_density_matrix, hermitian_eigenvalues
 from .transitions import is_row_stochastic, transition_direct
 
 EXIT_OK = 0
@@ -206,17 +205,23 @@ def _cmd_kraus(ns):
 def _cmd_verify(ns):
     dim, coeffs, _ = _resolve_channel(ns)
     tp = is_trace_preserving(coeffs, ns.tol)
-    min_eigenvalue = min_choi_eigenvalue(coeffs)
-    cp = min_eigenvalue >= -ns.tol
-    completeness = None
-    if cp:
-        kraus_set = kraus_from_choi(choi_matrix(coeffs), ns.tol)
-        completeness = kraus_set.completeness_residual()
+    choi = choi_matrix(coeffs)
+    min_eigenvalue = float(hermitian_eigenvalues(choi)[0])
+    kraus_set = None
+    if min_eigenvalue >= -ns.tol:
+        try:
+            kraus_set = kraus_from_choi(choi, ns.tol)
+        except NotPositiveSemidefiniteError:
+            # The factorization's pivot test is relative to max_norm(choi),
+            # the eigenvalue test absolute: a channel can pass the one and
+            # fail the other. Without a Kraus set it is reported not CP.
+            pass
+    cp = kraus_set is not None
     doc = {
         "cp": cp,
         "tp": tp,
         "min_choi_eigenvalue": min_eigenvalue,
-        "completeness_residual": completeness,
+        "completeness_residual": kraus_set.completeness_residual() if cp else None,
     }
     return doc, (EXIT_OK if (cp and tp) else EXIT_PROPERTY)
 
@@ -296,9 +301,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+#: Flags with a real value, which may be negative.
+_REAL_FLAGS = ("--p", "--tol")
+
+
+def _is_real(token: str) -> bool:
     try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--p -5e-05`` as ``--p=-5e-05``.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like a plain negative decimal, so a negative value in exponent form
+    after its flag would otherwise be a usage error.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _REAL_FLAGS and token.startswith("-") and _is_real(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = build_parser().parse_args(_attach_negative_values(argv))
+    try:
+        if not (math.isfinite(ns.tol) and ns.tol >= 0.0):
+            raise ValueError(f"--tol must be a finite number >= 0, got {ns.tol!r}")
         doc, code = _COMMANDS[ns.command](ns)
     except DegenerateChannelError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelFamily, apply_channel, channel_coefficients, family_parameter_range
-from .linalg import DEFAULT_TOL, as_complex_matrix, matrix_unit, max_norm, psd_cholesky
+from .channels import ChannelFamily, channel_coefficients, choi_matrix, family_parameter_range
+from .linalg import DEFAULT_TOL, as_complex_matrix, max_norm, psd_cholesky
 
 #: Absolute tolerance for the closed-form vs recurrence cross-check.
 CONSISTENCY_ATOL = 1e-12
@@ -73,17 +73,25 @@ class KrausSet:
     def __iter__(self):
         return iter(self.operators)
 
+    def _stacked(self) -> np.ndarray:
+        """The operators as one (count, n, n) array; (0, n, n) for an empty set."""
+        if not self.operators:
+            return np.zeros((0, self.dim, self.dim), dtype=np.complex128)
+        return np.stack(self.operators)
+
     def apply(self, a) -> np.ndarray:
-        """``sum_i K_i^* a K_i``."""
+        """``sum_i K_i^* a K_i``: the batched products ``a K_i``, then one GEMM
+        of the stacked ``K_i^*`` against them."""
         m = as_complex_matrix(a)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got shape {m.shape}")
-        stack = np.stack(self.operators)
-        return np.einsum("lba,bc,lcd->ad", stack.conj(), m, stack)
+        n = self.dim
+        if m.shape != (n, n):
+            raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+        stack = self._stacked()
+        return stack.conj().reshape(-1, n).T @ (m @ stack).reshape(-1, n)
 
     def completeness_residual(self) -> float:
         """``max_norm(sum_i K_i K_i^* - I)``; zero for a trace-preserving set."""
-        stack = np.stack(self.operators)
+        stack = self._stacked()
         total = np.einsum("lac,lbc->ab", stack, stack.conj())
         return max_norm(total - np.eye(self.dim))
 
@@ -132,17 +140,15 @@ def reconstruction_residual(ks: KrausSet, channel) -> float:
 
     Maximum over all matrix units E_ij of ``max_norm(ks.apply(E_ij) -
     channel(E_ij))``; by linearity a small residual certifies the Kraus set
-    on every input.
+    on every input. Block (i, j) of the Choi matrix is the image of E_ij,
+    and the Kraus action's Choi matrix is ``V^* V`` with V stacking the
+    operators row-major, so the maximum is ``max_norm(V^* V - C)``.
     """
-    n, coeffs = channel_coefficients(channel)
+    n, _ = channel_coefficients(channel)
     if n != ks.dim:
         raise ValueError(f"dimension mismatch: Kraus set is {ks.dim}, channel is {n}")
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            unit = matrix_unit(n, i, j)
-            worst = max(worst, max_norm(ks.apply(unit) - apply_channel(coeffs, unit)))
-    return worst
+    v = ks._stacked().reshape(-1, n * n)
+    return max_norm(v.conj().T @ v - choi_matrix(channel))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,0 +1,58 @@
+"""Dense reference routes for the channel and Kraus operations.
+
+Each function goes through the n^2-element orthonormal basis or loops over
+matrix units, the way the library computed these quantities before it
+worked from the channel's coefficient blocks. They cost O(n^4) per
+application, O(n^6) per Choi matrix and O(n^8) per Kraus residual, and
+serve only as oracles for the structured routes.
+"""
+
+import numpy as np
+
+from diagchan.basis import expand, orthonormal_basis, reconstruct
+from diagchan.channels import channel_coefficients
+from diagchan.linalg import matrix_unit, max_norm
+
+
+def dense_apply(channel, a) -> np.ndarray:
+    """Expand ``a`` in the orthonormal basis, scale each coefficient, reconstruct."""
+    n, coeffs = channel_coefficients(channel)
+    basis = orthonormal_basis(n)
+    return reconstruct(coeffs * expand(a, basis), basis)
+
+
+def dense_choi(channel) -> np.ndarray:
+    """Choi matrix whose block (i, j) is the dense image of E_ij, one unit at a time."""
+    n, coeffs = channel_coefficients(channel)
+    c = np.zeros((n * n, n * n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            c[i * n:(i + 1) * n, j * n:(j + 1) * n] = dense_apply(coeffs, matrix_unit(n, i, j))
+    return c
+
+
+def dense_is_trace_preserving(channel, tol: float) -> bool:
+    """Whether the dense image of every basis element keeps its trace within ``tol``."""
+    n, coeffs = channel_coefficients(channel)
+    for element in orthonormal_basis(n):
+        image = dense_apply(coeffs, element)
+        if abs(complex(np.trace(image)) - complex(np.trace(element))) > tol:
+            return False
+    return True
+
+
+def einsum_kraus_apply(ks, a) -> np.ndarray:
+    """``sum_i K_i^* a K_i`` as one three-operand einsum."""
+    stack = np.stack(ks.operators)
+    return np.einsum("lba,bc,lcd->ad", stack.conj(), np.asarray(a, dtype=np.complex128), stack)
+
+
+def unit_loop_residual(ks, channel) -> float:
+    """Largest mismatch between the Kraus and the dense channel image of any E_ij."""
+    n, coeffs = channel_coefficients(channel)
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            unit = matrix_unit(n, i, j)
+            worst = max(worst, max_norm(einsum_kraus_apply(ks, unit) - dense_apply(coeffs, unit)))
+    return worst

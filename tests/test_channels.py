@@ -149,8 +149,17 @@ def test_apply_preserves_hermiticity_and_trace(rng):
 
 def test_apply_validates_shape():
     ch = identity_channel(2)
-    with pytest.raises(ValueError):
-        ch.apply(np.eye(3))
+    for bad in (np.eye(3), np.ones((2, 2, 2)), np.ones(4)):
+        with pytest.raises(ValueError):
+            ch.apply(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.inf)])
+def test_apply_rejects_non_finite_entries(value):
+    x = np.eye(2, dtype=np.complex128)
+    x[0, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        identity_channel(2).apply(x)
 
 
 # ----------------------------------------------------------------------

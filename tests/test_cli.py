@@ -287,3 +287,47 @@ def test_kraus_output_reapplies_like_apply_command(capsys, tmp_path):
     via_kraus = sum(op.conj().T @ rho @ op for op in ops)
     via_apply = doc_to_matrix(json.loads(apply_out))
     assert np.max(np.abs(via_kraus - via_apply)) <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# verify reports every well-formed channel
+# ----------------------------------------------------------------------
+
+def test_verify_reports_channel_the_factorization_rejects(capsys, tmp_path):
+    # Depolarizing at the lower end of its interval, moved 1.28e-11 outward:
+    # the smallest Choi eigenvalue, -4.8e-11, passes the absolute test at the
+    # default --tol, but the semidefinite Cholesky rejects a pivot against its
+    # relative tolerance, so no Kraus set exists and the channel is not CP.
+    n = 4
+    coeffs = np.full(n * n, -1.0 / (n * n - 1) - 1.28e-11)
+    coeffs[0] = 1.0
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(coeffs.tolist()))
+    code, out = run(capsys, "verify", "--coefficients", str(path))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["cp"] is False
+    assert doc["tp"] is True
+    assert -1e-10 <= doc["min_choi_eigenvalue"] < 0.0
+    assert doc["completeness_residual"] is None
+
+
+# ----------------------------------------------------------------------
+# flag parsing
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("spelling", [["--p", "-5e-05"], ["--p=-5e-05"], ["--p", "-0.05"]])
+def test_negative_p_spellings(capsys, spelling):
+    code, out = run(capsys, "choi", "--n", "2", "--family", "depolarizing", *spelling)
+    assert code == 0
+    p = float(spelling[-1].removeprefix("--p="))
+    assert doc_to_matrix(json.loads(out))[0, 3] == pytest.approx(p, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    code = main(["verify", "--n", "3", "--family", "depolarizing", "--p", "0.1", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--tol" in captured.err

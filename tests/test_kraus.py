@@ -136,6 +136,13 @@ def test_reconstruction_across_families(family, n):
         assert len(ks) <= n * n
 
 
+def test_empty_kraus_set():
+    ks = KrausSet(2, (), ())
+    assert max_norm(ks.apply(np.eye(2))) == 0.0
+    coeffs = np.array([1.0, 0.5, -0.5, 0.25])
+    assert reconstruction_residual(ks, coeffs) == max_norm(DiagonalChannel(2, coeffs).choi())
+
+
 def test_kraus_set_validates_shapes():
     with pytest.raises(ValueError):
         KrausSet(2, (np.eye(3),), (0,))
