@@ -112,15 +112,18 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Factor a positive semidefinite Hermitian matrix as ``h = R^* R``.
 
     R is upper triangular with real nonnegative diagonal. Thresholds scale
-    with ``max_norm(h)``: a pivot within ``tol * max_norm(h)`` of zero zeroes
-    out the whole row, provided the remaining entries of its row are at most
-    ``sqrt(tol) * max_norm(h)`` in magnitude, so rank-deficient inputs factor
-    deterministically. For positive definite input the factor is the unique
-    classical one.
+    with ``max_norm(h)``: a row whose pivot and remaining entries are all
+    within ``tol * max_norm(h)`` of zero is zeroed out, so rank-deficient
+    inputs factor deterministically. Any other row is kept, and its pivot is
+    raised, by at most ``tol * max_norm(h)``, to the smallest value that a
+    positive semidefinite matrix allows for that row (``|h_kj|^2 <= h_kk h_jj``),
+    which keeps every entry of R bounded. Each entry of ``R^* R - h`` is
+    therefore at most ``tol * max_norm(h)`` up to rounding. For positive
+    definite input the factor is the unique classical one.
 
     Raises:
         NotPositiveSemidefiniteError: a pivot falls below ``-tol * max_norm(h)``,
-            or a zero pivot leaves a non-negligible row remainder.
+            or is too small by more than that for its row remainder.
     """
     a = as_hermitian(h)
     n = a.shape[0]
@@ -129,7 +132,6 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     if scale == 0.0:
         return r
     pivot_tol = tol * scale
-    remainder_tol = np.sqrt(tol) * scale
     for k in range(n):
         d = a[k, k].real
         if d < -pivot_tol:
@@ -137,17 +139,23 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
                 f"pivot {d:.6e} at index {k} is negative beyond tolerance {pivot_tol:.1e}"
             )
         tail = a[k, k + 1:]
-        if d <= pivot_tol:
-            if tail.size and np.max(np.abs(tail)) > remainder_tol:
-                raise NotPositiveSemidefiniteError(
-                    f"zero pivot at index {k} with non-negligible row remainder "
-                    f"(max {np.max(np.abs(tail)):.6e})"
-                )
+        if not tail.size:
+            if d > pivot_tol:
+                r[k, k] = np.sqrt(d)
             continue
-        rkk = np.sqrt(d)
+        magnitude = np.abs(tail)
+        if d <= pivot_tol and magnitude.max() <= pivot_tol:
+            continue
+        rest = np.maximum(a.diagonal()[k + 1:].real, pivot_tol)
+        least = float((magnitude * magnitude / rest).max())
+        if least - d > pivot_tol:
+            raise NotPositiveSemidefiniteError(
+                f"pivot {d:.6e} at index {k} is too small for its row remainder "
+                f"(max {magnitude.max():.6e}; needs {least:.6e})"
+            )
+        rkk = np.sqrt(max(d, least))
         r[k, k] = rkk
-        if tail.size:
-            row = tail / rkk
-            r[k, k + 1:] = row
-            a[k + 1:, k + 1:] -= np.outer(row.conj(), row)
+        row = tail / rkk
+        r[k, k + 1:] = row
+        a[k + 1:, k + 1:] -= np.outer(row.conj(), row)
     return r

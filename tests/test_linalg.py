@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -251,8 +251,33 @@ def test_cholesky_succeeds_iff_psd(rng):
                 psd_cholesky(h, tol)
 
 
+def _near_rank_one(eps):
+    """``eps`` everywhere but a 1 at (0, 1): ``b^* b`` has a pivot near eps^2
+    whose row still carries entries near eps."""
+    b = np.full((4, 4), eps, dtype=complex)
+    b[0, 1] = 1.0
+    return b
+
+
+def test_cholesky_keeps_small_pivot_with_large_remainder():
+    # Gram matrix of four unit vectors, the third 4e-6 from the span of the
+    # first two: its third pivot is near 1e-12, its row remainder near 1e-6.
+    v1 = np.array([1.0, 0.0, 0.0, 0.0])
+    v2 = np.array([np.cos(0.7), np.sin(0.7), 0.0, 0.0])
+    v3 = 0.6 * v1 + 0.5 * v2 + np.array([0.0, 0.0, 4e-6, 0.0])
+    v4 = np.array([0.0, 0.3, 0.8, 0.5])
+    vs = np.stack([v / np.linalg.norm(v) for v in (v1, v2, v3, v4)])
+    h = vs @ vs.T / 4.0
+    r = psd_cholesky(h)
+    assert max_norm(dagger(r) @ r - h) <= 1e-10 * max_norm(h)
+    assert np.all(np.diag(r).real > 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(complex_matrices(4))
+@example(_near_rank_one(1.19e-7))
+@example(_near_rank_one(5.96e-8))
+@example(_near_rank_one(1.44158746e-09))
 def test_cholesky_reconstructs_hypothesis_psd(b):
     h = b.conj().T @ b
     r = psd_cholesky(h)
