@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, dagger, hermitian_eigenvalues, max_norm
+from .linalg import DEFAULT_TOL, as_complex_matrix, dagger, max_norm
 
 #: Slack applied to family parameter bounds and coefficient bounds.
 BOUND_SLACK = 1e-12
@@ -192,6 +192,35 @@ def _blocks(channel) -> _Blocks:
     return _Blocks(n, coupled, pair, t, _diagonal_sub_basis(n))
 
 
+def _transition_matrix(b: _Blocks) -> np.ndarray:
+    """``M = W^T diag(t) W``, whose row i is the diagonal of the image of E_ii."""
+    return b.w.T @ (b.t[:, None] * b.w)
+
+
+class _ChoiSlots(NamedTuple):
+    """Where a diagonal channel's entries sit in its n^2 x n^2 Choi matrix.
+
+    Row and column i*n+j hold the slot of the matrix unit E_ij. ``coupled``
+    lists the n slots i*n+i of the coupled block D; ``upper`` and ``lower``
+    list the slots i*n+j and j*n+i of each pair i < j, in the order of
+    ``basis.pair_indices``. Every entry off these slots and off the diagonal
+    is zero.
+    """
+
+    coupled: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _choi_slots(n: int) -> _ChoiSlots:
+    rows, cols = np.triu_indices(n, 1)
+    slots = _ChoiSlots(np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)
+    for index in slots:
+        index.setflags(write=False)
+    return slots
+
+
 def apply_channel(channel, a) -> np.ndarray:
     """Apply a diagonal channel in O(n^2) from its coefficient blocks.
 
@@ -220,15 +249,11 @@ def choi_matrix(channel) -> np.ndarray:
     """
     b = _blocks(channel)
     n = b.n
+    slots = _choi_slots(n)
     c = np.zeros((n * n, n * n), dtype=np.complex128)
-    idx = np.arange(n)
-    units = idx[:, None] * n + idx  # units[i, j] = i*n + j
-    slots = np.diagonal(units)
-    # Pair slots first: where i == j they land on the diagonal and are
-    # overwritten below, as are the zero diagonals of the coupled block.
-    c[units, units.T] = b.pair
-    c[np.ix_(slots, slots)] = b.coupled
-    np.fill_diagonal(c, (b.w.T @ (b.t[:, None] * b.w)).ravel())
+    c[slots.upper, slots.lower] = c[slots.lower, slots.upper] = b.pair.flat[slots.upper]
+    c[np.ix_(slots.coupled, slots.coupled)] = b.coupled
+    np.fill_diagonal(c, _transition_matrix(b).ravel())
     drift = max_norm(c - dagger(c))
     if drift > 1e-12:
         raise ArithmeticError(f"Choi matrix failed the Hermiticity check: drift {drift:.3e}")
@@ -236,8 +261,22 @@ def choi_matrix(channel) -> np.ndarray:
 
 
 def min_choi_eigenvalue(channel) -> float:
-    """Smallest eigenvalue of the Choi matrix (negative means not CP)."""
-    return float(hermitian_eigenvalues(choi_matrix(channel))[0])
+    """Smallest eigenvalue of the Choi matrix (negative means not CP), in O(n^3).
+
+    The Choi matrix is a permutation of the coupled block D on the slots
+    i*n+i, with ``M = W^T diag(t) W`` on its diagonal and (s+a)/2 off it,
+    and of one real 2 x 2 block ``[[x, b], [b, y]]`` per pair i < j, with
+    ``x = M_ij``, ``y = M_ji`` and ``b = (s-a)/2``. The smaller eigenvalue of
+    a pair block is ``(x+y)/2 - hypot((x-y)/2, b)``. The Choi matrix itself
+    is never built.
+    """
+    b = _blocks(channel)
+    m = _transition_matrix(b)
+    slots = _choi_slots(b.n)
+    x, y = m.flat[slots.upper], m.flat[slots.lower]
+    pairs = (x + y) / 2.0 - np.hypot((x - y) / 2.0, b.pair.flat[slots.upper])
+    coupled = b.coupled + np.diag(np.diagonal(m))
+    return float(min(np.linalg.eigvalsh(coupled)[0], pairs.min()))
 
 
 def is_completely_positive(channel, tol: float = DEFAULT_TOL) -> bool:

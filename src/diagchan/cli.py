@@ -26,6 +26,7 @@ from .channels import (
     choi_matrix,
     apply_channel,
     is_trace_preserving,
+    min_choi_eigenvalue,
 )
 from .kraus import (
     DegenerateChannelError,
@@ -33,13 +34,18 @@ from .kraus import (
     kraus_from_choi,
     reconstruction_residual,
 )
-from .linalg import NotPositiveSemidefiniteError, as_density_matrix, hermitian_eigenvalues
+from .linalg import NotPositiveSemidefiniteError, as_density_matrix
 from .transitions import is_row_stochastic, transition_direct
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PROPERTY = 3
 EXIT_DEGENERATE = 4
+
+#: Largest dense array a subcommand may build, in bytes: the n^2 x n^2
+#: complex128 Choi matrix, or the n^2 basis elements or Kraus operators of
+#: size n x n, takes 16 n^4 bytes, so n <= 64 fits.
+DENSE_BYTES_LIMIT = 2 ** 28
 
 _FAMILY_NAMES = [f.value for f in ChannelFamily]
 
@@ -59,8 +65,29 @@ def _render_number(x: float) -> str:
     return format(x, ".17g")
 
 
+def _is_entry(pair) -> bool:
+    """Whether ``pair`` is a matrix entry ``[re, im]`` of two finite floats."""
+    return (type(pair) is list and len(pair) == 2
+            and type(pair[0]) is float and type(pair[1]) is float
+            and math.isfinite(pair[0]) and math.isfinite(pair[1]))
+
+
 def render_json(value) -> str:
-    """Serialize a document with insertion-ordered keys and %.17g floats."""
+    """Serialize a document with insertion-ordered keys and %.17g floats.
+
+    Floats, lists and dicts are dispatched on their exact type, and a row of
+    matrix entries is rendered in one pass, so a large matrix document costs
+    one call per row instead of a chain of type checks per number.
+    """
+    kind = type(value)
+    if kind is float:
+        return _render_number(value)
+    if kind is list and value and all(map(_is_entry, value)):
+        return "[" + ",".join(["[%.17g,%.17g]" % (re, im) for re, im in value]) + "]"
+    if kind is list or kind is tuple:
+        return "[" + ",".join(map(render_json, value)) + "]"
+    if kind is dict:
+        return "{" + ",".join([f"{json.dumps(k)}:{render_json(v)}" for k, v in value.items()]) + "}"
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -164,20 +191,35 @@ def _resolve_channel(ns) -> tuple[int, np.ndarray, ChannelFamily | None]:
 # Commands
 # ----------------------------------------------------------------------
 
+def _check_dense_size(n: int) -> None:
+    """Refuse a dimension whose n^4-sized arrays exceed DENSE_BYTES_LIMIT,
+    before any of them is allocated."""
+    size = 16 * n ** 4
+    if size > DENSE_BYTES_LIMIT:
+        largest = math.isqrt(math.isqrt(DENSE_BYTES_LIMIT // 16))
+        raise ValueError(
+            f"--n {n} is too large: a dense n^2 x n^2 complex matrix takes {size} bytes,"
+            f" above the limit of {DENSE_BYTES_LIMIT} bytes (n <= {largest})"
+        )
+
+
 def _cmd_basis(ns):
     if ns.n is None or ns.n < 2:
         raise ValueError("--n must be an integer >= 2")
+    _check_dense_size(ns.n)
     basis = orthonormal_basis(ns.n)
     return [matrix_document(e) for e in basis], EXIT_OK
 
 
 def _cmd_choi(ns):
     dim, coeffs, _ = _resolve_channel(ns)
+    _check_dense_size(dim)
     return matrix_document(choi_matrix(coeffs)), EXIT_OK
 
 
 def _cmd_kraus(ns):
     dim, coeffs, family = _resolve_channel(ns)
+    _check_dense_size(dim)
     if ns.method == "theorem4":
         if family is not ChannelFamily.HYBRID_DEPOLARIZING_CLASSICAL:
             raise ValueError(
@@ -204,13 +246,13 @@ def _cmd_kraus(ns):
 
 def _cmd_verify(ns):
     dim, coeffs, _ = _resolve_channel(ns)
+    _check_dense_size(dim)
     tp = is_trace_preserving(coeffs, ns.tol)
-    choi = choi_matrix(coeffs)
-    min_eigenvalue = float(hermitian_eigenvalues(choi)[0])
+    min_eigenvalue = min_choi_eigenvalue(coeffs)
     kraus_set = None
     if min_eigenvalue >= -ns.tol:
         try:
-            kraus_set = kraus_from_choi(choi, ns.tol)
+            kraus_set = kraus_from_choi(choi_matrix(coeffs), ns.tol)
         except NotPositiveSemidefiniteError:
             # The factorization's pivot test is relative to max_norm(choi),
             # the eigenvalue test absolute: a channel can pass the one and

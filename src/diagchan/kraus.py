@@ -15,12 +15,26 @@ ordered identically so the two routes can be compared entry by entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelFamily, channel_coefficients, choi_matrix, family_parameter_range
-from .linalg import DEFAULT_TOL, as_complex_matrix, max_norm, psd_cholesky
+from .channels import (
+    ChannelFamily,
+    _choi_slots,
+    channel_coefficients,
+    choi_matrix,
+    family_parameter_range,
+)
+from .linalg import (
+    DEFAULT_TOL,
+    _negative_pivot,
+    _psd_cholesky,
+    _small_pivot,
+    as_complex_matrix,
+    as_hermitian,
+    max_norm,
+)
 
 #: Absolute tolerance for the closed-form vs recurrence cross-check.
 CONSISTENCY_ATOL = 1e-12
@@ -43,28 +57,30 @@ class KrausSet:
     ``source_rows`` records, for each operator, the index of the triangular
     factor row it came from; rows that were entirely zero produce no
     operator, so rank-deficient channels carry fewer than n^2 operators.
+    The operators are held as one read-only (count, n, n) complex array, and
+    ``operators`` are views of it.
     """
 
     dim: int
     operators: tuple[np.ndarray, ...]
     source_rows: tuple[int, ...]
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.dim
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
-        if len(self.operators) != len(self.source_rows):
+        count = len(self.operators)
+        if count != len(self.source_rows):
             raise ValueError("one source row index is required per operator")
-        if len(self.operators) > n * n:
-            raise ValueError(f"at most {n * n} operators allowed, got {len(self.operators)}")
-        ops = []
-        for k in self.operators:
-            arr = as_complex_matrix(k)
-            if arr.shape != (n, n):
-                raise ValueError(f"operators must be {n}x{n}, got shape {arr.shape}")
-            arr.setflags(write=False)
-            ops.append(arr)
-        object.__setattr__(self, "operators", tuple(ops))
+        if count > n * n:
+            raise ValueError(f"at most {n * n} operators allowed, got {count}")
+        stack = _operator_stack(self.operators, n)
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("matrix entries must be finite")
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
         object.__setattr__(self, "source_rows", tuple(int(i) for i in self.source_rows))
 
     def __len__(self) -> int:
@@ -75,9 +91,7 @@ class KrausSet:
 
     def _stacked(self) -> np.ndarray:
         """The operators as one (count, n, n) array; (0, n, n) for an empty set."""
-        if not self.operators:
-            return np.zeros((0, self.dim, self.dim), dtype=np.complex128)
-        return np.stack(self.operators)
+        return self._stack
 
     def apply(self, a) -> np.ndarray:
         """``sum_i K_i^* a K_i``: the batched products ``a K_i``, then one GEMM
@@ -86,14 +100,37 @@ class KrausSet:
         n = self.dim
         if m.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-        stack = self._stacked()
+        stack = self._stack
         return stack.conj().reshape(-1, n).T @ (m @ stack).reshape(-1, n)
 
     def completeness_residual(self) -> float:
-        """``max_norm(sum_i K_i K_i^* - I)``; zero for a trace-preserving set."""
-        stack = self._stacked()
-        total = np.einsum("lac,lbc->ab", stack, stack.conj())
-        return max_norm(total - np.eye(self.dim))
+        """``max_norm(sum_i K_i K_i^* - I)``; zero for a trace-preserving set.
+
+        The sum is one GEMM ``X X^*`` of the n x (count n) matrix X whose
+        column blocks are the operators.
+        """
+        x = self._stack.transpose(1, 0, 2).reshape(self.dim, -1)
+        return max_norm(x @ x.conj().T - np.eye(self.dim))
+
+
+def _operator_stack(operators, n: int) -> np.ndarray:
+    """The operators as a fresh (count, n, n) complex array; the error names
+    the first operator that is not an n x n matrix."""
+    if not len(operators):
+        return np.zeros((0, n, n), dtype=np.complex128)
+    try:
+        stack = np.array(operators, dtype=np.complex128)
+        if stack.shape[1:] == (n, n):
+            return stack
+    except ValueError:  # operators of different shapes
+        pass
+    for k in operators:
+        shape = np.shape(k)
+        if len(shape) != 2:
+            raise ValueError(f"expected a 2-D matrix, got an array of rank {len(shape)}")
+        if shape != (n, n):
+            raise ValueError(f"operators must be {n}x{n}, got shape {shape}")
+    raise ValueError(f"operators must be {n}x{n} complex matrices")
 
 
 def reshape_row(kappa, n: int) -> np.ndarray:
@@ -109,15 +146,28 @@ def reshape_row(kappa, n: int) -> np.ndarray:
 
 
 def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> KrausSet:
-    """Extract Kraus operators from a positive semidefinite Choi matrix.
+    """Extract Kraus operators from the Choi matrix of a diagonal channel.
 
-    Factors the Choi matrix as ``R^* R`` and reshapes every nonzero row of
-    R into an operator, preserving row order. The operator count equals the
-    number of nonzero pivots, i.e. the numerical rank of the Choi matrix.
+    The Choi matrix is factored as ``R^* R`` and every nonzero row of R,
+    reshaped row-major, becomes an operator, in row order. The operator
+    count equals the number of nonzero pivots, i.e. the numerical rank of
+    the Choi matrix.
+
+    A diagonal channel's Choi matrix is a permutation of the coupled block
+    D on the slots i*n+i and of one 2 x 2 block ``[[x, b], [b*, y]]`` on the
+    slots (i*n+j, j*n+i) of each pair i < j, so R has no fill-in: D is
+    factored by the semidefinite Cholesky elimination of
+    :func:`~diagchan.linalg.psd_cholesky` and every pair in closed form, with
+    the pivot tolerance ``tol * max_norm(choi)`` of the whole matrix. The
+    rows, operators and errors are those of factoring the whole matrix.
 
     Raises:
-        NotPositiveSemidefiniteError: propagated from the factorization when
-            the Choi matrix is not positive semidefinite within ``tol``.
+        ValueError: the matrix is not square of size n^2, not Hermitian, or
+            has an entry above ``tol * max_norm(choi)`` off the pattern of a
+            diagonal channel's Choi matrix.
+        NotPositiveSemidefiniteError: the Choi matrix is not positive
+            semidefinite within ``tol``; the message names the first failing
+            row of the whole matrix.
     """
     c = as_complex_matrix(choi)
     if c.shape[0] != c.shape[1]:
@@ -125,14 +175,97 @@ def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> KrausSet:
     n = math.isqrt(c.shape[0])
     if n < 2 or n * n != c.shape[0]:
         raise ValueError(f"Choi matrix size {c.shape[0]} is not n^2 for any dimension n >= 2")
-    r = psd_cholesky(c, tol)
-    ops: list[np.ndarray] = []
-    rows: list[int] = []
-    for idx in range(n * n):
-        if max_norm(r[idx]) > 0.0:
-            ops.append(reshape_row(r[idx], n))
-            rows.append(idx)
-    return KrausSet(n, tuple(ops), tuple(rows))
+    h = as_hermitian(c)
+    scale = max_norm(h)
+    if scale == 0.0:
+        return KrausSet(n, (), ())
+    pivot_tol = tol * scale
+    slots = _choi_slots(n)
+    d, x, y, b = _choi_blocks(h, slots, pivot_tol)
+    root, coupling, second_root, failure = _factor_pairs(x, y, b, pivot_tol, slots)
+    stop = n * n if failure is None else failure[0]
+    r = _psd_cholesky(d, pivot_tol, slots.coupled[slots.coupled < stop])
+    if failure is not None:
+        raise failure[1]
+
+    kept = np.zeros(n * n, dtype=bool)
+    kept[slots.coupled] = np.any(r != 0.0, axis=1)
+    kept[slots.upper] = (root != 0.0) | (coupling != 0.0)
+    kept[slots.lower] = second_root != 0.0
+    position = np.cumsum(kept) - 1
+    stack = np.zeros((int(kept.sum()), n, n), dtype=np.complex128)
+    at = kept[slots.coupled]
+    diagonal = np.arange(n)
+    stack[position[slots.coupled[at]][:, None], diagonal, diagonal] = r[at]
+    i, j = np.divmod(slots.upper, n)
+    at = kept[slots.upper]
+    stack[position[slots.upper[at]], i[at], j[at]] = root[at]
+    stack[position[slots.upper[at]], j[at], i[at]] = coupling[at]
+    at = kept[slots.lower]
+    stack[position[slots.lower[at]], j[at], i[at]] = second_root[at]
+    return KrausSet(n, stack, tuple(np.flatnonzero(kept)))
+
+
+def _choi_blocks(h: np.ndarray, slots, pivot_tol: float):
+    """The coupled block D and the pair entries x, y and b of the Hermitian
+    Choi matrix ``h``, which is overwritten to check that no entry beyond
+    ``pivot_tol`` lies off the diagonal-channel pattern."""
+    coupled = np.ix_(slots.coupled, slots.coupled)
+    upper, lower = slots.upper, slots.lower
+    d = h[coupled]
+    x, y, b = h[upper, upper].real, h[lower, lower].real, h[upper, lower]
+    h[coupled] = 0.0
+    h[upper, lower] = h[lower, upper] = 0.0
+    np.fill_diagonal(h, 0.0)
+    stray = max_norm(h)
+    if stray > pivot_tol:
+        raise ValueError(
+            f"not the Choi matrix of a diagonal channel: an entry of magnitude {stray:.3e}"
+            f" lies off its pattern, beyond tolerance {pivot_tol:.1e}"
+        )
+    return d, x, y, b
+
+
+def _factor_pairs(x, y, b, pivot_tol: float, slots):
+    """The semidefinite Cholesky elimination of every pair block
+    ``[[x, b], [b*, y]]`` on the rows (i*n+j, j*n+i), in closed form.
+
+    The first row's only remainder is b; the second row's pivot is y less
+    ``|b / R_kk|^2``. The keep/drop/raise rules and arithmetic are those of
+    :func:`~diagchan.linalg.psd_cholesky`. Returns the factor entries
+    ``R_kk`` and ``b / R_kk`` of the first rows and the root of the second
+    pivot, zero where a row is dropped, and ``(row, error)`` for the
+    smallest failing row, or None.
+    """
+    magnitude = np.abs(b)
+    keep = (x > pivot_tol) | (magnitude > pivot_tol)
+    least = np.divide(magnitude * magnitude, np.maximum(y, pivot_tol),
+                      out=np.zeros_like(x), where=magnitude > 0.0)
+    negative = x < -pivot_tol
+    small = ~negative & keep & (least - x > pivot_tol)
+    ok = keep & ~negative & ~small
+    root = np.zeros_like(x)
+    root[ok] = np.sqrt(np.maximum(x[ok], least[ok]))
+    coupling = np.zeros_like(b)
+    coupling[ok] = b[ok] / root[ok]
+    pivot = y - (coupling.conj() * coupling).real
+    failed = negative | small
+    second_negative = ~failed & (pivot < -pivot_tol)
+    second = ~failed & (pivot > pivot_tol)
+    second_root = np.zeros_like(pivot)
+    second_root[second] = np.sqrt(pivot[second])
+
+    bad = np.flatnonzero(failed | second_negative)
+    if not bad.size:
+        return root, coupling, second_root, None
+    rows = np.where(failed, slots.upper, slots.lower)
+    p = bad[np.argmin(rows[bad])]
+    row = int(rows[p])
+    if small[p]:
+        error = _small_pivot(x[p], row, magnitude[p], least[p])
+    else:
+        error = _negative_pivot(x[p] if negative[p] else pivot[p], row, pivot_tol)
+    return root, coupling, second_root, (row, error)
 
 
 def reconstruction_residual(ks: KrausSet, channel) -> float:

@@ -126,18 +126,38 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
             or is too small by more than that for its row remainder.
     """
     a = as_hermitian(h)
-    n = a.shape[0]
-    r = np.zeros_like(a)
     scale = max_norm(a)
     if scale == 0.0:
-        return r
-    pivot_tol = tol * scale
-    for k in range(n):
+        return np.zeros_like(a)
+    return _psd_cholesky(a, tol * scale, range(a.shape[0]))
+
+
+def _negative_pivot(d: float, k: int, pivot_tol: float) -> NotPositiveSemidefiniteError:
+    return NotPositiveSemidefiniteError(
+        f"pivot {d:.6e} at index {k} is negative beyond tolerance {pivot_tol:.1e}"
+    )
+
+
+def _small_pivot(d: float, k: int, remainder: float, least: float) -> NotPositiveSemidefiniteError:
+    return NotPositiveSemidefiniteError(
+        f"pivot {d:.6e} at index {k} is too small for its row remainder "
+        f"(max {remainder:.6e}; needs {least:.6e})"
+    )
+
+
+def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
+    """The elimination behind :func:`psd_cholesky`, with an absolute tolerance.
+
+    Overwrites the exactly Hermitian ``a`` and factors its first
+    ``len(index)`` rows, leaving any later rows of R zero. Errors name row k
+    as ``index[k]``, so a block of a larger matrix reports the larger
+    matrix's row.
+    """
+    r = np.zeros_like(a)
+    for k, row_index in enumerate(index):
         d = a[k, k].real
         if d < -pivot_tol:
-            raise NotPositiveSemidefiniteError(
-                f"pivot {d:.6e} at index {k} is negative beyond tolerance {pivot_tol:.1e}"
-            )
+            raise _negative_pivot(d, row_index, pivot_tol)
         tail = a[k, k + 1:]
         if not tail.size:
             if d > pivot_tol:
@@ -149,10 +169,7 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
         rest = np.maximum(a.diagonal()[k + 1:].real, pivot_tol)
         least = float((magnitude * magnitude / rest).max())
         if least - d > pivot_tol:
-            raise NotPositiveSemidefiniteError(
-                f"pivot {d:.6e} at index {k} is too small for its row remainder "
-                f"(max {magnitude.max():.6e}; needs {least:.6e})"
-            )
+            raise _small_pivot(d, row_index, magnitude.max(), least)
         rkk = np.sqrt(max(d, least))
         r[k, k] = rkk
         row = tail / rkk

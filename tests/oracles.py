@@ -1,17 +1,28 @@
 """Dense reference routes for the channel and Kraus operations.
 
-Each function goes through the n^2-element orthonormal basis or loops over
-matrix units, the way the library computed these quantities before it
-worked from the channel's coefficient blocks. They cost O(n^4) per
-application, O(n^6) per Choi matrix and O(n^8) per Kraus residual, and
-serve only as oracles for the structured routes.
+Each function goes through the n^2-element orthonormal basis, loops over
+matrix units or works on the whole n^2 x n^2 Choi matrix, the way the
+library computed these quantities before it worked from the channel's
+coefficient blocks. They cost O(n^4) per application, O(n^6) per Choi
+matrix, eigenvalue check or factorization and O(n^8) per Kraus residual,
+and serve only as oracles for the structured routes.
 """
+
+import json
+import math
 
 import numpy as np
 
 from diagchan.basis import expand, orthonormal_basis, reconstruct
-from diagchan.channels import channel_coefficients
-from diagchan.linalg import matrix_unit, max_norm
+from diagchan.channels import channel_coefficients, choi_matrix
+from diagchan.kraus import KrausSet, reshape_row
+from diagchan.linalg import (
+    as_complex_matrix,
+    hermitian_eigenvalues,
+    matrix_unit,
+    max_norm,
+    psd_cholesky,
+)
 
 
 def dense_apply(channel, a) -> np.ndarray:
@@ -56,3 +67,45 @@ def unit_loop_residual(ks, channel) -> float:
             unit = matrix_unit(n, i, j)
             worst = max(worst, max_norm(einsum_kraus_apply(ks, unit) - dense_apply(coeffs, unit)))
     return worst
+
+
+def dense_min_choi_eigenvalue(channel) -> float:
+    """Smallest eigenvalue of the dense Choi matrix."""
+    return float(hermitian_eigenvalues(choi_matrix(channel))[0])
+
+
+def dense_kraus_from_choi(choi, tol: float) -> KrausSet:
+    """Factor the whole Choi matrix with ``psd_cholesky`` and reshape every
+    nonzero row of the factor into an operator, in row order."""
+    c = as_complex_matrix(choi)
+    n = math.isqrt(c.shape[0])
+    r = psd_cholesky(c, tol)
+    ops, rows = [], []
+    for idx in range(n * n):
+        if max_norm(r[idx]) > 0.0:
+            ops.append(reshape_row(r[idx], n))
+            rows.append(idx)
+    return KrausSet(n, tuple(ops), tuple(rows))
+
+
+def recursive_render_json(value) -> str:
+    """The CLI's JSON rendering as one recursive isinstance chain per value."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if not math.isfinite(x):
+            raise ValueError("non-finite number in output document")
+        return format(x, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(recursive_render_json(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{recursive_render_json(v)}"
+                              for k, v in value.items()) + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from diagchan import cli
+from diagchan.channels import ChannelFamily, family_parameter_range
 from diagchan.cli import main, matrix_document, parse_matrix_document, render_json
+
+from oracles import recursive_render_json
 
 
 def run(capsys, *args):
@@ -260,6 +264,52 @@ def test_outputs_are_byte_stable(capsys):
     _, first = run(capsys, "kraus", *HYBRID_FLAGS, "--method", "cholesky")
     _, second = run(capsys, "kraus", *HYBRID_FLAGS, "--method", "cholesky")
     assert first == second
+
+
+def test_stdout_matches_recursive_rendering(capsys, tmp_path, monkeypatch):
+    # Every subcommand, the four families at both interval ends and inside,
+    # n = 2..5: stdout is byte for byte what the recursive rendering gives.
+    documents = []
+
+    def recording(doc):
+        documents.append(doc)  # the whole document first, then its parts
+        return render_json(doc)
+
+    def check(*args):
+        documents.clear()
+        code, out = run(capsys, *args)
+        assert code in (0, 3)
+        assert out == recursive_render_json(documents[0]) + "\n"
+
+    monkeypatch.setattr(cli, "render_json", recording)
+    for n in range(2, 6):
+        check("basis", "--n", str(n))
+        state = write_state(tmp_path, np.eye(n) / n)
+        for family in ChannelFamily:
+            lo, hi = family_parameter_range(family, n)
+            for p in (lo, (lo + hi) / 2, hi):
+                flags = ["--n", str(n), "--family", family.value, f"--p={p!r}"]
+                for command in (["choi"], ["kraus"], ["verify"], ["apply", "--input", state],
+                                ["transition"]):
+                    check(*command, *flags)
+
+
+@pytest.mark.parametrize("command", [["basis"], ["choi"], ["kraus"], ["verify"],
+                                     ["kraus", "--method", "theorem4"]])
+def test_dense_size_limit_refuses_before_allocating(capsys, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("an n^4-sized array was built")
+
+    for name in ("orthonormal_basis", "choi_matrix", "hybrid_classical_kraus"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert 16 * 64 ** 4 <= cli.DENSE_BYTES_LIMIT < 16 * 65 ** 4
+    flags = [] if command == ["basis"] else [
+        "--family", "hybrid_depolarizing_classical", "--p", "1e-4"]
+    code = main([*command, "--n", "65", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--n 65" in captured.err and str(cli.DENSE_BYTES_LIMIT) in captured.err
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

@@ -150,6 +150,25 @@ def test_kraus_set_validates_shapes():
         KrausSet(2, (np.eye(2),) * 5, tuple(range(5)))
 
 
+def test_kraus_set_is_one_read_only_stack():
+    ks = KrausSet(2, (np.eye(2), PAULI_Z), (0, 3))
+    stack = ks._stacked()
+    assert stack.shape == (2, 2, 2) and not stack.flags.writeable
+    assert all(np.shares_memory(op, stack) for op in ks.operators)
+    with pytest.raises(ValueError, match="read-only"):
+        ks.operators[0][0, 0] = 2.0
+    for ops, rows, message in [
+        ((np.eye(3),), (0,), r"operators must be 2x2, got shape \(3, 3\)"),
+        ((np.eye(2), np.eye(3)), (0, 1), r"operators must be 2x2, got shape \(3, 3\)"),
+        ((np.ones(2),), (0,), "expected a 2-D matrix, got an array of rank 1"),
+        ((np.full((2, 2), np.nan),), (0,), "matrix entries must be finite"),
+        ((np.eye(2),), (), "one source row index is required per operator"),
+        ((np.eye(2),) * 5, tuple(range(5)), "at most 4 operators allowed, got 5"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            KrausSet(2, ops, rows)
+
+
 # ----------------------------------------------------------------------
 # closed-form pivots
 # ----------------------------------------------------------------------

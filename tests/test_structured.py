@@ -7,20 +7,30 @@ or not, by construction:
   coefficients, whose norm is at most n times their largest magnitude;
   scaling them to ``lead/(n(n+1))`` keeps every eigenvalue above
   ``lead/(n(n+1))``.
-* not CP: the first pair couples its two diagonal slots with weight 1
-  (s = a = 1), while the diagonal block is scaled to 0.1, so both slots
-  carry at most 0.85 and the 2 x 2 minor is negative.
+* not CP: the first pair couples either its two coupled slots (s = a = 1)
+  or its two pair slots (s = 1, a = -1) with weight 1, while the diagonal
+  block is scaled to 0.1, so both slots carry at most 0.85 and the 2 x 2
+  minor is negative.
 * not TP: the leading coefficient is 0.5, 0.9, 1.1 or 1.5 instead of 1.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from diagchan.channels import apply_channel, choi_matrix, is_trace_preserving
+from diagchan.channels import (
+    ChannelFamily,
+    DiagonalChannel,
+    apply_channel,
+    choi_matrix,
+    family_parameter_range,
+    is_trace_preserving,
+    min_choi_eigenvalue,
+)
 from diagchan.kraus import KrausSet, kraus_from_choi, reconstruction_residual
-from diagchan.linalg import DEFAULT_TOL, max_norm
+from diagchan.linalg import DEFAULT_TOL, NotPositiveSemidefiniteError, max_norm
 from diagchan.transitions import (
     diagonal_block_coefficients,
     transition_closed_form,
@@ -31,6 +41,8 @@ from oracles import (
     dense_apply,
     dense_choi,
     dense_is_trace_preserving,
+    dense_kraus_from_choi,
+    dense_min_choi_eigenvalue,
     einsum_kraus_apply,
     unit_loop_residual,
 )
@@ -49,7 +61,8 @@ def raw_channels(draw):
     if cp:
         rest *= lead / (n * (n + 1))
     else:
-        rest[0] = rest[num_pairs] = 1.0
+        rest[0] = 1.0
+        rest[num_pairs] = draw(st.sampled_from([1.0, -1.0]))
         rest[2 * num_pairs:] *= 0.1
     return n, np.concatenate([[lead], rest]), cp, tp
 
@@ -89,3 +102,89 @@ def test_structured_routes_match_dense_oracles(channel, hermitian, seed):
     if tp:
         closed = transition_closed_form(diagonal_block_coefficients(coeffs), n)
         assert max_norm(transition_direct(coeffs) - closed) <= ATOL
+
+
+def gram_channel(eps):
+    """n = 4 channel whose coupled block is G/4, with G the Gram matrix of
+    four unit vectors of which the third lies ``eps`` from the span of the
+    first two; t = (1, 0, 0, 0) and no pair coupling. Its third pivot is
+    near eps^2 while that row's remainder is near eps."""
+    v1 = np.array([1.0, 0.0, 0.0, 0.0])
+    v2 = np.array([np.cos(0.7), np.sin(0.7), 0.0, 0.0])
+    v3 = 0.6 * v1 + 0.5 * v2 + np.array([0.0, 0.0, eps, 0.0])
+    v4 = np.array([0.0, 0.3, 0.8, 0.5])
+    vs = np.stack([v / np.linalg.norm(v) for v in (v1, v2, v3, v4)])
+    s = (vs @ vs.T)[np.triu_indices(4, 1)] / 4.0
+    return np.concatenate([[1.0], s, s, np.zeros(3)])
+
+
+def family_endpoint(family, n, end):
+    return DiagonalChannel.from_family(family, n, family_parameter_range(family, n)[end]).coefficients
+
+
+PINNED = (
+    [family_endpoint(family, n, end) for family in ChannelFamily for n in (2, 3, 5) for end in (0, 1)]
+    + [gram_channel(eps) for eps in (4e-6, 1.19e-7, 5.96e-8, 1.44158746e-09)]
+    # n = 2 pair blocks [[x, b], [b, x]]: |b| beyond x = 0.5 by 2.5 tol max|C|,
+    # so the first pivot needs 5 tol max|C| more; and x = 0 with b = 0.25.
+    + [np.array([1.0, 0.5 + 1.25e-10, -0.5 - 1.25e-10, 0.0]), np.array([1.0, 0.25, -0.25, 1.0])]
+)
+
+
+def pinned(test):
+    for coeffs in PINNED:
+        test = example(coeffs)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_channels().map(lambda channel: channel[1]))
+@pinned
+def test_structured_cp_check_and_kraus_factor_match_dense(coeffs):
+    choi = choi_matrix(coeffs)
+    lowest = min_choi_eigenvalue(coeffs)
+    assert abs(lowest - dense_min_choi_eigenvalue(coeffs)) <= 1e-12 * max(1.0, max_norm(choi))
+
+    try:
+        dense = dense_kraus_from_choi(choi, DEFAULT_TOL)
+    except NotPositiveSemidefiniteError as exc:
+        with pytest.raises(NotPositiveSemidefiniteError) as structured:
+            kraus_from_choi(choi, DEFAULT_TOL)
+        assert str(structured.value) == str(exc)
+        assert lowest < 0.0
+        return
+    ks = kraus_from_choi(choi, DEFAULT_TOL)
+    assert ks.source_rows == dense.source_rows
+    assert max_norm(ks._stacked() - dense._stacked()) <= 1e-15
+    assert reconstruction_residual(ks, coeffs) <= 1e-10 * max(1.0, max_norm(choi))
+
+
+@pytest.mark.parametrize("coupled, paired, row", [((1, 2), (0, 1), 1), ((0, 1), (1, 2), 0)])
+def test_first_failing_row_wins_across_blocks(coupled, paired, row):
+    # n = 3, t = 0: every Choi diagonal entry is 1/3. Weight 1 on the coupled
+    # slots of one pair and on the pair slots of another breaks both blocks.
+    # The coupled slots are rows 0, 4 and 8; pair (0, 1) sits on rows 1 and
+    # 3, pair (1, 2) on rows 5 and 7.
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    s, a = np.zeros(3), np.zeros(3)
+    s[pairs.index(coupled)] = a[pairs.index(coupled)] = 1.0
+    s[pairs.index(paired)], a[pairs.index(paired)] = 1.0, -1.0
+    choi = choi_matrix(np.concatenate([[1.0], s, a, [0.0, 0.0]]))
+    with pytest.raises(NotPositiveSemidefiniteError, match=f"at index {row} ") as structured:
+        kraus_from_choi(choi)
+    with pytest.raises(NotPositiveSemidefiniteError) as dense:
+        dense_kraus_from_choi(choi, DEFAULT_TOL)
+    assert str(structured.value) == str(dense.value)
+
+
+def test_kraus_from_choi_refuses_off_pattern_matrices():
+    choi = choi_matrix(DiagonalChannel.from_family("depolarizing", 3, 0.5))
+    # Slot 0 holds E_11 and slot 1 holds E_12: no diagonal channel couples them.
+    for size, accepted in ((1e-6, False), (1e-13, True)):
+        off = choi.copy()
+        off[0, 1] = off[1, 0] = size
+        if accepted:
+            assert len(kraus_from_choi(off)) == len(kraus_from_choi(choi))
+        else:
+            with pytest.raises(ValueError, match="not the Choi matrix of a diagonal channel"):
+                kraus_from_choi(off)
