@@ -183,13 +183,13 @@ def _blocks(channel) -> _Blocks:
     num_pairs = n * (n - 1) // 2
     s = coeffs[1:1 + num_pairs]
     a = coeffs[1 + num_pairs:1 + 2 * num_pairs]
-    rows, cols = np.triu_indices(n, 1)  # the order of basis.pair_indices
-    coupled = np.zeros((n, n))
-    pair = np.zeros((n, n))
-    coupled[rows, cols] = coupled[cols, rows] = (s + a) / 2.0
-    pair[rows, cols] = pair[cols, rows] = (s - a) / 2.0
+    slots = _choi_slots(n)  # the pairs in the order of basis.pair_indices
+    coupled = np.zeros(n * n)
+    pair = np.zeros(n * n)
+    coupled[slots.upper] = coupled[slots.lower] = (s + a) / 2.0
+    pair[slots.upper] = pair[slots.lower] = (s - a) / 2.0
     t = np.concatenate([coeffs[:1], coeffs[1 + 2 * num_pairs:]])
-    return _Blocks(n, coupled, pair, t, _diagonal_sub_basis(n))
+    return _Blocks(n, coupled.reshape(n, n), pair.reshape(n, n), t, _diagonal_sub_basis(n))
 
 
 def _transition_matrix(b: _Blocks) -> np.ndarray:
@@ -233,8 +233,21 @@ def apply_channel(channel, a) -> np.ndarray:
     m = as_complex_matrix(a)
     if m.shape != (b.n, b.n):
         raise ValueError(f"expected a {b.n}x{b.n} matrix, got shape {m.shape}")
-    out = b.coupled * m + b.pair * m.T
-    np.fill_diagonal(out, b.w.T @ (b.t * (b.w @ np.diag(m))))
+    return _apply_blocks(b, m)
+
+
+def _apply_blocks(b: _Blocks, x: np.ndarray) -> np.ndarray:
+    """The channel image of one n x n matrix, or of each matrix of a
+    (k, n, n) stack, by the block formula of :func:`apply_channel`.
+
+    The diagonals of a stack go through W as the n x k matrix of their
+    columns, so the whole stack costs two GEMMs; ``x`` is not validated.
+    """
+    out = b.coupled * x + b.pair * np.swapaxes(x, -1, -2)
+    columns = np.diagonal(x, axis1=-2, axis2=-1).T
+    t = b.t if x.ndim == 2 else b.t[:, None]
+    diagonal = np.arange(b.n)
+    out[..., diagonal, diagonal] = (b.w.T @ (t * (b.w @ columns))).T
     return out
 
 

@@ -109,10 +109,7 @@ def matrix_document(m) -> dict:
     rows, cols = m.shape
     return {
         "shape": [int(rows), int(cols)],
-        "entries": [
-            [[float(m[r, c].real), float(m[r, c].imag)] for c in range(cols)]
-            for r in range(rows)
-        ],
+        "entries": np.stack([m.real, m.imag], axis=-1).tolist(),
     }
 
 
@@ -287,7 +284,7 @@ def _cmd_transition(ns):
     dim, coeffs, _ = _resolve_channel(ns)
     p = transition_direct(coeffs)
     doc = {
-        "matrix": [[float(x) for x in row] for row in p],
+        "matrix": p.tolist(),
         "row_stochastic": is_row_stochastic(p, ns.tol),
     }
     return doc, EXIT_OK

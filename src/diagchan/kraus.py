@@ -28,6 +28,7 @@ from .channels import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _least_pivots,
     _negative_pivot,
     _psd_cholesky,
     _small_pivot,
@@ -239,8 +240,7 @@ def _factor_pairs(x, y, b, pivot_tol: float, slots):
     """
     magnitude = np.abs(b)
     keep = (x > pivot_tol) | (magnitude > pivot_tol)
-    least = np.divide(magnitude * magnitude, np.maximum(y, pivot_tol),
-                      out=np.zeros_like(x), where=magnitude > 0.0)
+    least = _least_pivots(magnitude, y, pivot_tol)
     negative = x < -pivot_tol
     small = ~negative & keep & (least - x > pivot_tol)
     ok = keep & ~negative & ~small
@@ -392,21 +392,13 @@ def hybrid_classical_kraus(n: int, p: float) -> KrausSet:
     unique, and this list coincides entry-wise with the factorization route.
     """
     data = hybrid_classical_pivots(n, p)
-    sqrt_uncoupled = np.sqrt(data.uncoupled)
-    ops: list[np.ndarray] = []
-    rows: list[int] = []
-    for i in range(n):
-        for r in range(n):
-            k = np.zeros((n, n), dtype=np.complex128)
-            if r == i:
-                root = np.sqrt(data.pivots[i])
-                k[i, i] = root
-                if i < n - 1:
-                    fill = data.offdiags[i] / root
-                    for j in range(i + 1, n):
-                        k[j, j] = fill
-            else:
-                k[i, r] = sqrt_uncoupled
-            ops.append(k)
-            rows.append(i * n + r)
-    return KrausSet(n, tuple(ops), tuple(rows))
+    ops = np.zeros((n * n, n, n), dtype=np.complex128)
+    i, r = np.divmod(np.arange(n * n), n)
+    single = i != r
+    ops[single, i[single], r[single]] = np.sqrt(data.uncoupled)
+    roots = np.sqrt(data.pivots)
+    diagonal = np.arange(n)
+    ops[diagonal * (n + 1), diagonal, diagonal] = roots
+    upper, later = np.triu_indices(n, 1)
+    ops[upper * (n + 1), later, later] = (data.offdiags / roots[:-1])[upper]
+    return KrausSet(n, ops, tuple(range(n * n)))

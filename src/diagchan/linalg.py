@@ -145,6 +145,20 @@ def _small_pivot(d: float, k: int, remainder: float, least: float) -> NotPositiv
     )
 
 
+def _least_pivots(magnitude: np.ndarray, later: np.ndarray, pivot_tol: float) -> np.ndarray:
+    """``magnitude^2 / max(later, pivot_tol)`` entrywise: the smallest pivot a
+    positive semidefinite matrix allows for each remainder entry over its
+    later diagonal entry. A positive ``pivot_tol`` keeps every denominator
+    positive. Otherwise a zero entry imposes no bound (0, even over a zero
+    diagonal) and a nonzero entry over a zero diagonal an unmeetable one
+    (inf), both without dividing by zero."""
+    rest = np.maximum(later, pivot_tol)
+    if pivot_tol > 0.0:
+        return magnitude * magnitude / rest
+    return np.divide(magnitude * magnitude, rest, out=np.where(magnitude > 0.0, np.inf, 0.0),
+                     where=rest != 0.0)
+
+
 def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
     """The elimination behind :func:`psd_cholesky`, with an absolute tolerance.
 
@@ -166,8 +180,7 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
         magnitude = np.abs(tail)
         if d <= pivot_tol and magnitude.max() <= pivot_tol:
             continue
-        rest = np.maximum(a.diagonal()[k + 1:].real, pivot_tol)
-        least = float((magnitude * magnitude / rest).max())
+        least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol).max())
         if least - d > pivot_tol:
             raise _small_pivot(d, row_index, magnitude.max(), least)
         rkk = np.sqrt(max(d, least))

@@ -13,11 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import diagonal_block_slice
-from .channels import apply_channel, channel_coefficients
-from .linalg import matrix_unit, max_norm
+from .channels import _apply_blocks, _blocks, channel_coefficients
 
 #: Negative entries above this threshold are rounding noise and clamped to 0.
 CLAMP_ATOL = 1e-12
+
+# Most entries in one stack of projectors applied by transition_direct:
+# every n <= 101 takes a single stack.
+_CHUNK_ENTRIES = 2 ** 20
 
 
 def _clamp_noise(p: np.ndarray) -> np.ndarray:
@@ -34,26 +37,38 @@ def diagonal_block_coefficients(channel) -> np.ndarray:
 def transition_direct(channel, tol: float = 1e-12) -> np.ndarray:
     """Transition matrix by direct application to the basis projectors.
 
-    Row k holds the diagonal of the channel image of E_kk. The image must be
+    Row k holds the diagonal of the channel image of E_kk. The projectors
+    are applied as (m, n, n) stacks of at most ``_CHUNK_ENTRIES`` entries,
+    so memory stays O(n^2) beyond that fixed chunk. Each image must be
     diagonal to within ``tol``; anything else signals a broken channel or
-    basis and raises ArithmeticError.
+    basis and raises ArithmeticError naming the first failing projector.
     """
-    n, coeffs = channel_coefficients(channel)
+    b = _blocks(channel)
+    n = b.n
     p = np.empty((n, n))
-    for k in range(n):
-        image = apply_channel(coeffs, matrix_unit(n, k, k))
-        off = max_norm(image - np.diag(np.diag(image)))
-        if off > tol:
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    diagonal = np.arange(n)
+    for start in range(0, n, step):
+        rows = diagonal[start:start + step]
+        projectors = np.zeros((rows.size, n, n), dtype=np.complex128)
+        projectors[rows - start, rows, rows] = 1.0
+        images = _apply_blocks(b, projectors)
+        diag = np.diagonal(images, axis1=1, axis2=2).copy()
+        images[:, diagonal, diagonal] = 0.0
+        off = np.abs(images).max(axis=(1, 2))
+        imaginary = np.abs(diag.imag).max(axis=1)
+        bad = np.flatnonzero((off > tol) | (imaginary > tol))
+        if bad.size:
+            k = bad[0]
+            if off[k] > tol:
+                raise ArithmeticError(
+                    f"image of basis projector {rows[k] + 1} is not diagonal "
+                    f"(off-diagonal magnitude {off[k]:.3e})"
+                )
             raise ArithmeticError(
-                f"image of basis projector {k + 1} is not diagonal "
-                f"(off-diagonal magnitude {off:.3e})"
+                f"image of basis projector {rows[k] + 1} has complex diagonal entries"
             )
-        diag = np.diag(image)
-        if max_norm(diag.imag) > tol:
-            raise ArithmeticError(
-                f"image of basis projector {k + 1} has complex diagonal entries"
-            )
-        p[k] = diag.real
+        p[rows] = diag.real
     return _clamp_noise(p)
 
 
@@ -67,23 +82,22 @@ def transition_closed_form(t, n: int) -> np.ndarray:
     * j > k:  1/n - t[j-1]/j + tail(j)
 
     where tail(m) = sum_{i=m}^{n-1} t[i] / (i (i+1)). For k = 1 the t[k-1]
-    term carries coefficient zero and is never evaluated.
+    term carries coefficient zero and is never evaluated. An entry off the
+    diagonal depends only on max(j, k).
     """
     t = np.asarray(t, dtype=np.float64).ravel()
     if t.size != n - 1:
         raise ValueError(f"expected {n - 1} coefficients for dimension {n}, got {t.size}")
-    # tail[m] = sum_{i=m}^{n-1} t_i / (i(i+1)), 1-based i; tail[n] = 0.
-    tail = np.zeros(n + 1)
-    for m in range(n - 1, 0, -1):
-        tail[m] = tail[m + 1] + t[m - 1] / (m * (m + 1.0))
-    p = np.empty((n, n))
-    for k in range(1, n + 1):
-        below = 1.0 / n - (t[k - 2] / k if k > 1 else 0.0) + tail[k]
-        diag = 1.0 / n + ((k - 1.0) * t[k - 2] / k if k > 1 else 0.0) + tail[k]
-        p[k - 1, :k - 1] = below
-        p[k - 1, k - 1] = diag
-        for j in range(k + 1, n + 1):
-            p[k - 1, j - 1] = 1.0 / n - t[j - 2] / j + tail[j]
+    # tail[m-1] = sum_{i=m}^{n-1} t_i / (i(i+1)) for 1-based m and i, summed
+    # from i = n-1 down; tail[n-1] = 0.
+    i = np.arange(1.0, n)
+    tail = np.cumsum(np.concatenate([[0.0], (t / (i * (i + 1.0)))[::-1]]))[::-1]
+    k = np.arange(2.0, n + 1)
+    off = 1.0 / n - np.concatenate([[0.0], t / k]) + tail
+    diag = 1.0 / n + np.concatenate([[0.0], (k - 1.0) * t / k]) + tail
+    source = np.arange(n)
+    p = off[np.maximum.outer(source, source)]
+    p[source, source] = diag
     return _clamp_noise(p)
 
 

@@ -5,7 +5,10 @@ matrix units or works on the whole n^2 x n^2 Choi matrix, the way the
 library computed these quantities before it worked from the channel's
 coefficient blocks. They cost O(n^4) per application, O(n^6) per Choi
 matrix, eigenvalue check or factorization and O(n^8) per Kraus residual,
-and serve only as oracles for the structured routes.
+and serve only as oracles for the structured routes. The ``loop_``
+functions compute the transition matrices and the hybrid family's Kraus
+operators one entry, projector or operator at a time, as oracles for the
+batched routes.
 """
 
 import json
@@ -14,8 +17,9 @@ import math
 import numpy as np
 
 from diagchan.basis import expand, orthonormal_basis, reconstruct
-from diagchan.channels import channel_coefficients, choi_matrix
-from diagchan.kraus import KrausSet, reshape_row
+from diagchan.channels import apply_channel, channel_coefficients, choi_matrix
+from diagchan.kraus import KrausSet, hybrid_classical_pivots, reshape_row
+from diagchan.transitions import _clamp_noise
 from diagchan.linalg import (
     as_complex_matrix,
     hermitian_eigenvalues,
@@ -86,6 +90,67 @@ def dense_kraus_from_choi(choi, tol: float) -> KrausSet:
             ops.append(reshape_row(r[idx], n))
             rows.append(idx)
     return KrausSet(n, tuple(ops), tuple(rows))
+
+
+def loop_hybrid_classical_kraus(n: int, p: float) -> KrausSet:
+    """The hybrid classical family's closed-form Kraus set, one operator at a time."""
+    data = hybrid_classical_pivots(n, p)
+    sqrt_uncoupled = np.sqrt(data.uncoupled)
+    ops, rows = [], []
+    for i in range(n):
+        for r in range(n):
+            k = np.zeros((n, n), dtype=np.complex128)
+            if r == i:
+                root = np.sqrt(data.pivots[i])
+                k[i, i] = root
+                if i < n - 1:
+                    fill = data.offdiags[i] / root
+                    for j in range(i + 1, n):
+                        k[j, j] = fill
+            else:
+                k[i, r] = sqrt_uncoupled
+            ops.append(k)
+            rows.append(i * n + r)
+    return KrausSet(n, tuple(ops), tuple(rows))
+
+
+def loop_transition_direct(channel, tol: float = 1e-12) -> np.ndarray:
+    """Transition matrix by one ``apply_channel`` call per basis projector."""
+    n, coeffs = channel_coefficients(channel)
+    p = np.empty((n, n))
+    for k in range(n):
+        image = apply_channel(coeffs, matrix_unit(n, k, k))
+        off = max_norm(image - np.diag(np.diag(image)))
+        if off > tol:
+            raise ArithmeticError(
+                f"image of basis projector {k + 1} is not diagonal "
+                f"(off-diagonal magnitude {off:.3e})"
+            )
+        diag = np.diag(image)
+        if max_norm(diag.imag) > tol:
+            raise ArithmeticError(
+                f"image of basis projector {k + 1} has complex diagonal entries"
+            )
+        p[k] = diag.real
+    return _clamp_noise(p)
+
+
+def loop_transition_closed_form(t, n: int) -> np.ndarray:
+    """The closed-form transition matrix entry by entry, with the tail sums
+    accumulated from the last coefficient down."""
+    t = np.asarray(t, dtype=np.float64).ravel()
+    tail = np.zeros(n + 1)
+    for m in range(n - 1, 0, -1):
+        tail[m] = tail[m + 1] + t[m - 1] / (m * (m + 1.0))
+    p = np.empty((n, n))
+    for k in range(1, n + 1):
+        below = 1.0 / n - (t[k - 2] / k if k > 1 else 0.0) + tail[k]
+        diag = 1.0 / n + ((k - 1.0) * t[k - 2] / k if k > 1 else 0.0) + tail[k]
+        p[k - 1, :k - 1] = below
+        p[k - 1, k - 1] = diag
+        for j in range(k + 1, n + 1):
+            p[k - 1, j - 1] = 1.0 / n - t[j - 2] / j + tail[j]
+    return _clamp_noise(p)
 
 
 def recursive_render_json(value) -> str:

@@ -15,6 +15,7 @@ from diagchan.kraus import (
 from diagchan.linalg import dagger, matrix_unit, max_norm
 
 from conftest import random_complex
+from oracles import loop_hybrid_classical_kraus
 
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -248,6 +249,14 @@ def test_closed_form_matches_factorization(n):
         assert worst <= 1e-10
         assert reconstruction_residual(closed, ch) <= 1e-10
         assert closed.completeness_residual() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_closed_form_stack_equals_operator_loop(n):
+    for p in interior_samples(n, 3):
+        ks, loop = hybrid_classical_kraus(n, p), loop_hybrid_classical_kraus(n, p)
+        assert ks.source_rows == loop.source_rows == tuple(range(n * n))
+        assert np.array_equal(ks._stacked(), loop._stacked())
 
 
 def test_closed_form_degenerate_at_boundary():

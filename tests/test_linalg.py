@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -212,6 +214,17 @@ def test_cholesky_rejects_indefinite():
     assert hermitian_eigenvalues(h)[0] == pytest.approx(-1.0)
     with pytest.raises(NotPositiveSemidefiniteError):
         psd_cholesky(h)
+
+
+def test_cholesky_at_zero_tolerance_divides_no_zero_by_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # A zero remainder entry over a zero later diagonal imposes no bound.
+        h = np.array([[1.0, 0.0], [0.0, 0.0]])
+        assert_allclose(psd_cholesky(h, 0.0), h)
+        # A nonzero one over a zero later diagonal needs an infinite pivot.
+        with pytest.raises(NotPositiveSemidefiniteError, match="index 0 is too small.*needs inf"):
+            psd_cholesky(np.array([[1.0, 0.5], [0.5, 0.0]]), 0.0)
 
 
 def test_cholesky_zero_matrix():

@@ -44,6 +44,7 @@ from oracles import (
     dense_kraus_from_choi,
     dense_min_choi_eigenvalue,
     einsum_kraus_apply,
+    loop_transition_direct,
     unit_loop_residual,
 )
 
@@ -99,9 +100,11 @@ def test_structured_routes_match_dense_oracles(channel, hermitian, seed):
     if cp:
         assert reconstruction_residual(kraus_sets[1], coeffs) <= 1e-10
 
+    transitions = transition_direct(coeffs)
+    assert max_norm(transitions - loop_transition_direct(coeffs)) <= 1e-15
     if tp:
         closed = transition_closed_form(diagonal_block_coefficients(coeffs), n)
-        assert max_norm(transition_direct(coeffs) - closed) <= ATOL
+        assert max_norm(transitions - closed) <= ATOL
 
 
 def gram_channel(eps):
