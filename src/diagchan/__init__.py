@@ -34,6 +34,7 @@ from .kraus import (
     KrausSet,
     hybrid_classical_kraus,
     hybrid_classical_pivots,
+    kraus_from_channel,
     kraus_from_choi,
     reconstruction_residual,
     reshape_row,
@@ -90,6 +91,7 @@ __all__ = [
     "is_completely_positive",
     "is_row_stochastic",
     "is_trace_preserving",
+    "kraus_from_channel",
     "kraus_from_choi",
     "matrix_unit",
     "max_norm",

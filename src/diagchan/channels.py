@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, dagger, max_norm
+from .linalg import DEFAULT_TOL, as_complex_matrix
 
 #: Slack applied to family parameter bounds and coefficient bounds.
 BOUND_SLACK = 1e-12
@@ -204,18 +204,27 @@ class _ChoiSlots(NamedTuple):
     lists the n slots i*n+i of the coupled block D; ``upper`` and ``lower``
     list the slots i*n+j and j*n+i of each pair i < j, in the order of
     ``basis.pair_indices``. Every entry off these slots and off the diagonal
-    is zero.
+    is zero. ``pair_entries`` and ``coupled_entries`` are (2, pairs) arrays
+    of positions in the flattened matrix: the pair's entries (i*n+j, j*n+i)
+    and (j*n+i, i*n+j), and D's entries (i*n+i, j*n+j) and (j*n+j, i*n+i).
     """
 
     coupled: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
+    pair_entries: np.ndarray
+    coupled_entries: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _choi_slots(n: int) -> _ChoiSlots:
     rows, cols = np.triu_indices(n, 1)
-    slots = _ChoiSlots(np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)
+    upper, lower = rows * n + cols, cols * n + rows
+    first, second = rows * (n + 1), cols * (n + 1)
+    size = n * n
+    slots = _ChoiSlots(np.arange(n) * (n + 1), upper, lower,
+                       np.stack([upper * size + lower, lower * size + upper]),
+                       np.stack([first * size + second, second * size + first]))
     for index in slots:
         index.setflags(write=False)
     return slots
@@ -257,39 +266,59 @@ def choi_matrix(channel) -> np.ndarray:
     Block (i, j) of size n x n is the channel image of the matrix unit
     E_ij: block (i, i) is ``diag(M[i])`` with ``M = W^T diag(t) W``, the
     coupled slots (i*n+i, j*n+j) hold (s+a)/2 and the pair slots
-    (i*n+j, j*n+i) hold (s-a)/2. Every other entry is zero. The result is
-    validated Hermitian and symmetrized exactly.
+    (i*n+j, j*n+i) hold (s-a)/2. Every other entry is zero. Every block is
+    symmetric, so the result is exactly Hermitian by construction; each
+    scattered value has ``+ 0.0`` added, which turns -0.0 into +0.0.
     """
     b = _blocks(channel)
     n = b.n
     slots = _choi_slots(n)
     c = np.zeros((n * n, n * n), dtype=np.complex128)
-    c[slots.upper, slots.lower] = c[slots.lower, slots.upper] = b.pair.flat[slots.upper]
-    c[np.ix_(slots.coupled, slots.coupled)] = b.coupled
-    np.fill_diagonal(c, _transition_matrix(b).ravel())
-    drift = max_norm(c - dagger(c))
-    if drift > 1e-12:
-        raise ArithmeticError(f"Choi matrix failed the Hermiticity check: drift {drift:.3e}")
-    return (c + dagger(c)) / 2.0
+    entries = c.reshape(-1)
+    entries[slots.pair_entries] = b.pair.flat[slots.upper] + 0.0
+    entries[slots.coupled_entries] = b.coupled.flat[slots.upper] + 0.0
+    np.fill_diagonal(c, _transition_matrix(b).ravel() + 0.0)
+    return c
+
+
+class _ChoiBlocks(NamedTuple):
+    """A diagonal channel's Choi matrix by block, on the slots of
+    :func:`_choi_slots`: the real coupled block ``d`` on the slots i*n+i, with
+    ``M = W^T diag(t) W`` on its diagonal and (s+a)/2 off it, and for every
+    pair i < j the real 2 x 2 block ``[[x, b], [b, y]]`` with ``x = M_ij``,
+    ``y = M_ji`` and ``b = (s-a)/2``. Every entry of ``d`` is +0.0 if zero."""
+
+    n: int
+    d: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    b: np.ndarray
+
+
+def _choi_blocks(channel) -> _ChoiBlocks:
+    """The Choi matrix's blocks from the coefficient blocks, in O(n^2) plus
+    the n x n GEMM of M."""
+    blocks = _blocks(channel)
+    m = _transition_matrix(blocks)
+    slots = _choi_slots(blocks.n)
+    # Adding the diagonal matrix adds +0.0 to every entry of D.
+    d = blocks.coupled + np.diag(np.diagonal(m))
+    return _ChoiBlocks(blocks.n, d, m.flat[slots.upper], m.flat[slots.lower],
+                       blocks.pair.flat[slots.upper])
 
 
 def min_choi_eigenvalue(channel) -> float:
     """Smallest eigenvalue of the Choi matrix (negative means not CP), in O(n^3).
 
-    The Choi matrix is a permutation of the coupled block D on the slots
-    i*n+i, with ``M = W^T diag(t) W`` on its diagonal and (s+a)/2 off it,
-    and of one real 2 x 2 block ``[[x, b], [b, y]]`` per pair i < j, with
-    ``x = M_ij``, ``y = M_ji`` and ``b = (s-a)/2``. The smaller eigenvalue of
-    a pair block is ``(x+y)/2 - hypot((x-y)/2, b)``. The Choi matrix itself
-    is never built.
+    The Choi matrix is a permutation of the coupled block D and of one real
+    2 x 2 block ``[[x, b], [b, y]]`` per pair (see :class:`_ChoiBlocks`).
+    The smaller eigenvalue of a pair block is
+    ``(x+y)/2 - hypot((x-y)/2, b)``. The Choi matrix itself is never built.
     """
-    b = _blocks(channel)
-    m = _transition_matrix(b)
-    slots = _choi_slots(b.n)
-    x, y = m.flat[slots.upper], m.flat[slots.lower]
-    pairs = (x + y) / 2.0 - np.hypot((x - y) / 2.0, b.pair.flat[slots.upper])
-    coupled = b.coupled + np.diag(np.diagonal(m))
-    return float(min(np.linalg.eigvalsh(coupled)[0], pairs.min()))
+    blocks = _choi_blocks(channel)
+    x, y = blocks.x, blocks.y
+    pairs = (x + y) / 2.0 - np.hypot((x - y) / 2.0, blocks.b)
+    return float(min(np.linalg.eigvalsh(blocks.d)[0], pairs.min()))
 
 
 def is_completely_positive(channel, tol: float = DEFAULT_TOL) -> bool:

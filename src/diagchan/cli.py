@@ -23,6 +23,7 @@ from .basis import orthonormal_basis
 from .channels import (
     ChannelFamily,
     DiagonalChannel,
+    _choi_blocks,
     choi_matrix,
     apply_channel,
     is_trace_preserving,
@@ -30,8 +31,9 @@ from .channels import (
 )
 from .kraus import (
     DegenerateChannelError,
+    _factor_channel,
     hybrid_classical_kraus,
-    kraus_from_choi,
+    kraus_from_channel,
     reconstruction_residual,
 )
 from .linalg import NotPositiveSemidefiniteError, as_density_matrix
@@ -224,7 +226,7 @@ def _cmd_kraus(ns):
             )
         kraus_set = hybrid_classical_kraus(dim, ns.p)
     else:
-        kraus_set = kraus_from_choi(choi_matrix(coeffs), ns.tol)
+        kraus_set = kraus_from_channel(coeffs, ns.tol)
     reconstruction = reconstruction_residual(kraus_set, coeffs)
     completeness = kraus_set.completeness_residual()
     doc = {
@@ -242,25 +244,28 @@ def _cmd_kraus(ns):
 
 
 def _cmd_verify(ns):
-    dim, coeffs, _ = _resolve_channel(ns)
-    _check_dense_size(dim)
+    # Everything here is O(n^2) memory: the factor is held by block and its
+    # completeness residual read from its rows, so there is no size limit.
+    _, coeffs, _ = _resolve_channel(ns)
     tp = is_trace_preserving(coeffs, ns.tol)
+    # The CP check and the factor each read the Choi blocks from the
+    # coefficients: O(n^2) and one n x n GEMM, against O(n^3) for either.
     min_eigenvalue = min_choi_eigenvalue(coeffs)
-    kraus_set = None
+    factor = None
     if min_eigenvalue >= -ns.tol:
         try:
-            kraus_set = kraus_from_choi(choi_matrix(coeffs), ns.tol)
+            factor = _factor_channel(_choi_blocks(coeffs), ns.tol)
         except NotPositiveSemidefiniteError:
             # The factorization's pivot test is relative to max_norm(choi),
             # the eigenvalue test absolute: a channel can pass the one and
             # fail the other. Without a Kraus set it is reported not CP.
             pass
-    cp = kraus_set is not None
+    cp = factor is not None
     doc = {
         "cp": cp,
         "tp": tp,
         "min_choi_eigenvalue": min_eigenvalue,
-        "completeness_residual": kraus_set.completeness_residual() if cp else None,
+        "completeness_residual": factor.completeness_residual() if cp else None,
     }
     return doc, (EXIT_OK if (cp and tp) else EXIT_PROPERTY)
 

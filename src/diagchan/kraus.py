@@ -7,20 +7,26 @@ into the other widespread convention ``sum_i M_i rho M_i^†``, take
 
 The generic route factors the Choi matrix as ``R^* R`` with R upper
 triangular and reshapes each nonzero row of R (row-major) into an n x n
-operator. For the hybrid depolarizing classical family the factorization
-collapses to closed-form pivot recurrences, implemented here as well and
-ordered identically so the two routes can be compared entry by entry.
+operator. R has no fill-in, so it is computed block by block, either from
+a Choi matrix (:func:`kraus_from_choi`) or from the channel's coefficient
+blocks without building that matrix (:func:`kraus_from_channel`). For
+the hybrid depolarizing classical family the factorization collapses to
+closed-form pivot recurrences, implemented here as well and ordered
+identically so the two routes can be compared entry by entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import (
     ChannelFamily,
+    _ChoiBlocks,
+    _choi_blocks,
     _choi_slots,
     channel_coefficients,
     choi_matrix,
@@ -28,12 +34,13 @@ from .channels import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    HERMITIAN_ATOL,
     _least_pivots,
     _negative_pivot,
     _psd_cholesky,
     _small_pivot,
     as_complex_matrix,
-    as_hermitian,
+    dagger,
     max_norm,
 )
 
@@ -156,75 +163,195 @@ def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> KrausSet:
 
     A diagonal channel's Choi matrix is a permutation of the coupled block
     D on the slots i*n+i and of one 2 x 2 block ``[[x, b], [b*, y]]`` on the
-    slots (i*n+j, j*n+i) of each pair i < j, so R has no fill-in: D is
-    factored by the semidefinite Cholesky elimination of
-    :func:`~diagchan.linalg.psd_cholesky` and every pair in closed form, with
-    the pivot tolerance ``tol * max_norm(choi)`` of the whole matrix. The
-    rows, operators and errors are those of factoring the whole matrix.
+    slots (i*n+j, j*n+i) of each pair i < j, so R has no fill-in. The matrix
+    is read once: D, x, y and b are taken from their slots and symmetrized
+    there, and one pass over ``|C|`` checks every other entry. The input is
+    never copied (unless it must be converted to complex) or written to.
+    The blocks are then factored as by :func:`kraus_from_channel`: D by the
+    semidefinite Cholesky elimination of :func:`~diagchan.linalg.psd_cholesky`
+    and every pair in closed form, with the pivot tolerance
+    ``tol * max_norm(C)`` of the whole matrix. The rows, operators and
+    errors are those of factoring the whole matrix.
 
     Raises:
-        ValueError: the matrix is not square of size n^2, not Hermitian, or
-            has an entry above ``tol * max_norm(choi)`` off the pattern of a
-            diagonal channel's Choi matrix.
+        ValueError: the matrix is not 2-D, has a non-finite entry, is not
+            square of size n^2, is not Hermitian within
+            :data:`~diagchan.linalg.HERMITIAN_ATOL`, or has an entry above
+            ``tol * max_norm(C)`` off the pattern of a diagonal channel's
+            Choi matrix, checked in this order. The pattern test reads the
+            raw entries, so on a matrix that is Hermitian only within
+            ``HERMITIAN_ATOL`` it is stricter than a test of ``(C + C^*)/2``
+            by at most ``HERMITIAN_ATOL / 2``.
         NotPositiveSemidefiniteError: the Choi matrix is not positive
             semidefinite within ``tol``; the message names the first failing
             row of the whole matrix.
     """
-    c = as_complex_matrix(choi)
-    if c.shape[0] != c.shape[1]:
-        raise ValueError(f"Choi matrix must be square, got shape {c.shape}")
-    n = math.isqrt(c.shape[0])
-    if n < 2 or n * n != c.shape[0]:
-        raise ValueError(f"Choi matrix size {c.shape[0]} is not n^2 for any dimension n >= 2")
-    h = as_hermitian(c)
-    scale = max_norm(h)
-    if scale == 0.0:
-        return KrausSet(n, (), ())
-    pivot_tol = tol * scale
+    return _factor_blocks(*_read_choi(choi, tol)).kraus_set()
+
+
+def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
+    """The Kraus set of :func:`kraus_from_choi` on the channel's Choi matrix,
+    factored from the coefficient blocks without building that matrix.
+
+    D is ``M = W^T diag(t) W`` on its diagonal and (s+a)/2 off it, and every
+    pair block is ``[[M_ij, (s-a)/2], [(s-a)/2, M_ji]]``; the pivot scale
+    ``max_norm(C)`` is the largest of ``|M|``, ``|(s+a)/2|`` and
+    ``|(s-a)/2|``. Operators, ``source_rows`` and errors are bit for bit
+    those of ``kraus_from_choi(choi_matrix(channel), tol)``. Reading the
+    blocks costs O(n^2) and factoring them O(n^3); only the (rank, n, n)
+    operator stack is O(n^4).
+
+    Raises:
+        NotPositiveSemidefiniteError: as :func:`kraus_from_choi`.
+    """
+    return _factor_channel(_choi_blocks(channel), tol).kraus_set()
+
+
+#: Largest off-pattern magnitude for which the full Hermiticity pass is
+#: skipped: two such entries differ by at most ``HERMITIAN_ATOL``, with a
+#: relative margin far above the few roundings of that bound.
+_OFF_PATTERN_HERMITIAN = HERMITIAN_ATOL / 2.0 * (1.0 - 1e-12)
+
+
+def _read_choi(choi, tol: float):
+    """``(n, D, x, y, b, tol * max_norm(C))`` of a diagonal channel's Choi
+    matrix, with the checks of :func:`kraus_from_choi`.
+
+    Only D, x, y and b are symmetrized. The off-pattern maximum of ``|C|``
+    gives the finiteness check, the pattern test and, with the pattern's
+    maxima, the scale. The full Hermiticity pass over ``C - C^*`` runs only
+    when an off-pattern entry exceeds ``HERMITIAN_ATOL / 2`` (less a
+    relative margin for the rounding of ``|a - b*| <= |a| + |b|``) or the
+    drift on the pattern exceeds ``HERMITIAN_ATOL``; otherwise the full drift
+    is within ``HERMITIAN_ATOL`` and the pass could not fail.
+    """
+    c = np.asarray(choi, dtype=np.complex128)
+    if c.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got an array of rank {c.ndim}")
+    size = c.shape[0]
+    n = math.isqrt(size)
+    if c.shape[1] != size or n < 2 or n * n != size:
+        if not np.isfinite(c).all():
+            raise ValueError("matrix entries must be finite")
+        if c.shape[1] != size:
+            raise ValueError(f"Choi matrix must be square, got shape {c.shape}")
+        raise ValueError(f"Choi matrix size {size} is not n^2 for any dimension n >= 2")
+
     slots = _choi_slots(n)
-    d, x, y, b = _choi_blocks(h, slots, pivot_tol)
-    root, coupling, second_root, failure = _factor_pairs(x, y, b, pivot_tol, slots)
-    stop = n * n if failure is None else failure[0]
-    r = _psd_cholesky(d, pivot_tol, slots.coupled[slots.coupled < stop])
-    if failure is not None:
-        raise failure[1]
-
-    kept = np.zeros(n * n, dtype=bool)
-    kept[slots.coupled] = np.any(r != 0.0, axis=1)
-    kept[slots.upper] = (root != 0.0) | (coupling != 0.0)
-    kept[slots.lower] = second_root != 0.0
-    position = np.cumsum(kept) - 1
-    stack = np.zeros((int(kept.sum()), n, n), dtype=np.complex128)
-    at = kept[slots.coupled]
-    diagonal = np.arange(n)
-    stack[position[slots.coupled[at]][:, None], diagonal, diagonal] = r[at]
-    i, j = np.divmod(slots.upper, n)
-    at = kept[slots.upper]
-    stack[position[slots.upper[at]], i[at], j[at]] = root[at]
-    stack[position[slots.upper[at]], j[at], i[at]] = coupling[at]
-    at = kept[slots.lower]
-    stack[position[slots.lower[at]], j[at], i[at]] = second_root[at]
-    return KrausSet(n, stack, tuple(np.flatnonzero(kept)))
-
-
-def _choi_blocks(h: np.ndarray, slots, pivot_tol: float):
-    """The coupled block D and the pair entries x, y and b of the Hermitian
-    Choi matrix ``h``, which is overwritten to check that no entry beyond
-    ``pivot_tol`` lies off the diagonal-channel pattern."""
-    coupled = np.ix_(slots.coupled, slots.coupled)
     upper, lower = slots.upper, slots.lower
-    d = h[coupled]
-    x, y, b = h[upper, upper].real, h[lower, lower].real, h[upper, lower]
-    h[coupled] = 0.0
-    h[upper, lower] = h[lower, upper] = 0.0
-    np.fill_diagonal(h, 0.0)
-    stray = max_norm(h)
+    d, x, y = c[np.ix_(slots.coupled, slots.coupled)], c[upper, upper], c[lower, lower]
+    b, mirror = c[upper, lower], c[lower, upper]
+    # Row-major whatever the input's layout, so that ``entries`` is a view.
+    magnitude = np.abs(c, order="C")
+    entries = magnitude.reshape(-1)
+    entries[slots.pair_entries] = entries[slots.coupled_entries] = 0.0
+    np.fill_diagonal(magnitude, 0.0)
+    stray = float(magnitude.max())
+    if not (math.isfinite(stray) and all(np.isfinite(v).all() for v in (d, x, y, b, mirror))):
+        raise ValueError("matrix entries must be finite")
+
+    pattern_drift = max(max_norm(d - d.conj().T), max_norm(x - x.conj()),
+                        max_norm(y - y.conj()), max_norm(b - mirror.conj()))
+    if pattern_drift > HERMITIAN_ATOL or stray > _OFF_PATTERN_HERMITIAN:
+        drift = max_norm(c - dagger(c))
+        if drift > HERMITIAN_ATOL:
+            raise ValueError(
+                f"matrix is not Hermitian: max |M - M^*| = {drift:.3e} > {HERMITIAN_ATOL:.1e}"
+            )
+    d = (d + d.conj().T) / 2.0
+    x = ((x + x.conj()) / 2.0).real
+    y = ((y + y.conj()) / 2.0).real
+    b = (b + mirror.conj()) / 2.0
+    scale = max(stray, max_norm(d), max_norm(x), max_norm(y), max_norm(b))
+    pivot_tol = tol * scale
     if stray > pivot_tol:
         raise ValueError(
             f"not the Choi matrix of a diagonal channel: an entry of magnitude {stray:.3e}"
             f" lies off its pattern, beyond tolerance {pivot_tol:.1e}"
         )
-    return d, x, y, b
+    return n, d, x, y, b, pivot_tol
+
+
+def _factor_channel(blocks: _ChoiBlocks, tol: float) -> _BlockFactor:
+    """The factor of a channel's Choi matrix from its blocks, fed the values
+    that :func:`_read_choi` reads from ``choi_matrix``: D and b complex, and
+    ``+ 0.0`` added to x, y and b as ``choi_matrix`` adds it (D has it
+    already). The scale ``max_norm(C)`` is the largest entry of the blocks."""
+    d = blocks.d.astype(np.complex128)
+    x, y = blocks.x + 0.0, blocks.y + 0.0
+    b = (blocks.b + 0.0).astype(np.complex128)
+    scale = max(max_norm(blocks.d), max_norm(x), max_norm(y), max_norm(blocks.b))
+    return _factor_blocks(blocks.n, d, x, y, b, tol * scale)
+
+
+class _BlockFactor(NamedTuple):
+    """The upper triangular factor R of a diagonal channel's Choi matrix,
+    held by block: ``coupled`` is the n x n factor of D on the slots i*n+i,
+    and for every pair i < j, in the order of ``_choi_slots``, ``root`` and
+    ``coupling`` are the entries of row i*n+j at columns i*n+j and j*n+i and
+    ``second_root`` the entry of row j*n+i at its own column. Dropped rows
+    are zero."""
+
+    n: int
+    coupled: np.ndarray
+    root: np.ndarray
+    coupling: np.ndarray
+    second_root: np.ndarray
+
+    def kraus_set(self) -> KrausSet:
+        """Every nonzero row reshaped row-major into an operator, in row order:
+        a row of D gives a diagonal operator, a pair's first row ``root`` at
+        (i, j) and ``coupling`` at (j, i), its second row ``second_root`` at
+        (j, i)."""
+        n = self.n
+        slots = _choi_slots(n)
+        kept = np.zeros(n * n, dtype=bool)
+        kept[slots.coupled] = np.any(self.coupled != 0.0, axis=1)
+        kept[slots.upper] = (self.root != 0.0) | (self.coupling != 0.0)
+        kept[slots.lower] = self.second_root != 0.0
+        position = np.cumsum(kept) - 1
+        stack = np.zeros((int(kept.sum()), n, n), dtype=np.complex128)
+        at = kept[slots.coupled]
+        diagonal = np.arange(n)
+        stack[position[slots.coupled[at]][:, None], diagonal, diagonal] = self.coupled[at]
+        i, j = np.divmod(slots.upper, n)
+        at = kept[slots.upper]
+        stack[position[slots.upper[at]], i[at], j[at]] = self.root[at]
+        stack[position[slots.upper[at]], j[at], i[at]] = self.coupling[at]
+        at = kept[slots.lower]
+        stack[position[slots.lower[at]], j[at], i[at]] = self.second_root[at]
+        return KrausSet(n, stack, tuple(np.flatnonzero(kept)))
+
+    def completeness_residual(self) -> float:
+        """``max_norm(sum_i K_i K_i^* - I)`` of :meth:`kraus_set`, in O(n^2).
+
+        Every operator's ``K K^*`` is diagonal: ``diag(|R_k|^2)`` for a row of
+        D, ``root^2 E_ii + |coupling|^2 E_jj`` and ``second_root^2 E_jj`` for
+        a pair's rows. The sum is therefore diagonal, with the column sums of
+        ``|R_D|^2`` plus each pair's terms at i and j.
+        """
+        n = self.n
+        i, j = np.divmod(_choi_slots(n).upper, n)
+        total = (self.coupled.conj() * self.coupled).real.sum(axis=0)
+        total += np.bincount(i, self.root * self.root, n)
+        total += np.bincount(j, (self.coupling.conj() * self.coupling).real
+                             + self.second_root * self.second_root, n)
+        return max_norm(total - 1.0)
+
+
+def _factor_blocks(n: int, d, x, y, b, pivot_tol: float) -> _BlockFactor:
+    """The semidefinite Cholesky factor of a diagonal channel's Choi matrix
+    from its blocks: the coupled block D (overwritten) by the elimination of
+    :func:`~diagchan.linalg.psd_cholesky` and the pair blocks
+    ``[[x, b], [b*, y]]`` in closed form, with the absolute ``pivot_tol``.
+    Raises the error of the smallest failing row of the whole matrix."""
+    slots = _choi_slots(n)
+    root, coupling, second_root, failure = _factor_pairs(x, y, b, pivot_tol, slots)
+    stop = n * n if failure is None else failure[0]
+    r = _psd_cholesky(d, pivot_tol, slots.coupled[slots.coupled < stop])
+    if failure is not None:
+        raise failure[1]
+    return _BlockFactor(n, r, root, coupling, second_root)
 
 
 def _factor_pairs(x, y, b, pivot_tol: float, slots):
@@ -241,11 +368,12 @@ def _factor_pairs(x, y, b, pivot_tol: float, slots):
     magnitude = np.abs(b)
     keep = (x > pivot_tol) | (magnitude > pivot_tol)
     least = _least_pivots(magnitude, y, pivot_tol)
+    first = np.maximum(x, least)
     negative = x < -pivot_tol
-    small = ~negative & keep & (least - x > pivot_tol)
+    small = ~negative & keep & ((least - x > pivot_tol) | (first <= 0.0))
     ok = keep & ~negative & ~small
     root = np.zeros_like(x)
-    root[ok] = np.sqrt(np.maximum(x[ok], least[ok]))
+    root[ok] = np.sqrt(first[ok])
     coupling = np.zeros_like(b)
     coupling[ok] = b[ok] / root[ok]
     pivot = y - (coupling.conj() * coupling).real

@@ -123,7 +123,9 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Raises:
         NotPositiveSemidefiniteError: a pivot falls below ``-tol * max_norm(h)``,
-            or is too small by more than that for its row remainder.
+            or is too small by more than that for its row remainder, or is
+            zero under a nonzero remainder (whose square can underflow at
+            ``tol = 0``).
     """
     a = as_hermitian(h)
     scale = max_norm(a)
@@ -139,9 +141,11 @@ def _negative_pivot(d: float, k: int, pivot_tol: float) -> NotPositiveSemidefini
 
 
 def _small_pivot(d: float, k: int, remainder: float, least: float) -> NotPositiveSemidefiniteError:
+    # A least pivot of 0 under a nonzero remainder is an underflowed square.
+    needs = f"{least:.6e}" if least > 0.0 else "a positive pivot"
     return NotPositiveSemidefiniteError(
         f"pivot {d:.6e} at index {k} is too small for its row remainder "
-        f"(max {remainder:.6e}; needs {least:.6e})"
+        f"(max {remainder:.6e}; needs {needs})"
     )
 
 
@@ -165,7 +169,9 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
     Overwrites the exactly Hermitian ``a`` and factors its first
     ``len(index)`` rows, leaving any later rows of R zero. Errors name row k
     as ``index[k]``, so a block of a larger matrix reports the larger
-    matrix's row.
+    matrix's row. A kept row needs a positive pivot: one whose nonzero
+    remainder squares to zero by underflow (possible at ``pivot_tol = 0``)
+    fails as too small instead of dividing by a zero root.
     """
     r = np.zeros_like(a)
     for k, row_index in enumerate(index):
@@ -181,9 +187,10 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
         if d <= pivot_tol and magnitude.max() <= pivot_tol:
             continue
         least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol).max())
-        if least - d > pivot_tol:
+        pivot = max(d, least)
+        if least - d > pivot_tol or pivot <= 0.0:
             raise _small_pivot(d, row_index, magnitude.max(), least)
-        rkk = np.sqrt(max(d, least))
+        rkk = np.sqrt(pivot)
         r[k, k] = rkk
         row = tail / rkk
         r[k, k + 1:] = row

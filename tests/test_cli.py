@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,14 +295,26 @@ def test_stdout_matches_recursive_rendering(capsys, tmp_path, monkeypatch):
                     check(*command, *flags)
 
 
-@pytest.mark.parametrize("command", [["basis"], ["choi"], ["kraus"], ["verify"],
-                                     ["kraus", "--method", "theorem4"]])
-def test_dense_size_limit_refuses_before_allocating(capsys, monkeypatch, command):
+def refuse_calls(monkeypatch, *names):
+    """Replace the named functions of the CLI by ones that fail if called."""
     def refuse(*args):
         raise AssertionError("an n^4-sized array was built")
 
-    for name in ("orthonormal_basis", "choi_matrix", "hybrid_classical_kraus"):
+    for name in names:
         monkeypatch.setattr(cli, name, refuse)
+
+
+# verify lost its size limit (test_verify_has_no_size_limit); the other
+# cases keep the ids they had while it was command3.
+@pytest.mark.parametrize("command", [
+    pytest.param(["basis"], id="command0"),
+    pytest.param(["choi"], id="command1"),
+    pytest.param(["kraus"], id="command2"),
+    pytest.param(["kraus", "--method", "theorem4"], id="command4"),
+])
+def test_dense_size_limit_refuses_before_allocating(capsys, monkeypatch, command):
+    refuse_calls(monkeypatch, "orthonormal_basis", "choi_matrix", "hybrid_classical_kraus",
+                 "kraus_from_channel")
     assert 16 * 64 ** 4 <= cli.DENSE_BYTES_LIMIT < 16 * 65 ** 4
     flags = [] if command == ["basis"] else [
         "--family", "hybrid_depolarizing_classical", "--p", "1e-4"]
@@ -310,6 +323,47 @@ def test_dense_size_limit_refuses_before_allocating(capsys, monkeypatch, command
     assert code == 2
     assert captured.out == ""
     assert "--n 65" in captured.err and str(cli.DENSE_BYTES_LIMIT) in captured.err
+
+
+def test_verify_has_no_size_limit(capsys, monkeypatch):
+    refuse_calls(monkeypatch, "choi_matrix", "kraus_from_channel")
+    code, out = run(capsys, "verify", "--n", "128", "--family", "depolarizing", "--p", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["cp"] is True and doc["tp"] is True
+    assert doc["completeness_residual"] <= 1e-10
+
+
+def test_verify_refuses_a_large_non_cp_vector(capsys, monkeypatch, tmp_path):
+    # n = 128, t = (1, 0, ..., 0): every Choi diagonal entry is 1/128, and
+    # weight 1 on the coupled slots of the first pair breaks the coupled block.
+    n = 128
+    coeffs = np.zeros(n * n)
+    coeffs[0] = coeffs[1] = coeffs[1 + n * (n - 1) // 2] = 1.0
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(coeffs.tolist()))
+    refuse_calls(monkeypatch, "choi_matrix", "kraus_from_channel")
+    code, out = run(capsys, "verify", "--coefficients", str(path))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["cp"] is False and doc["tp"] is True
+    assert doc["min_choi_eigenvalue"] < -0.9
+    assert doc["completeness_residual"] is None
+
+
+# Stdout of choi, kraus and verify for the four families at p = 0 and
+# n = 2, 3, recorded before these commands moved to the block routes. Their
+# coefficient blocks hold -0.0 (p times a negative sign), which must print
+# as 0, never as -0.
+P0_STDOUT = json.loads((Path(__file__).parent / "data" / "p0_stdout.json").read_text())
+
+
+def test_p0_stdout_is_byte_identical_to_the_pinned_output(capsys):
+    assert len(P0_STDOUT) == 4 * 2 * 3
+    for command, expected in P0_STDOUT.items():
+        code, out = run(capsys, *command.split())
+        assert code == 0, command
+        assert out == expected, command
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

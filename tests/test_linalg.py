@@ -227,6 +227,18 @@ def test_cholesky_at_zero_tolerance_divides_no_zero_by_zero():
             psd_cholesky(np.array([[1.0, 0.5], [0.5, 0.0]]), 0.0)
 
 
+def test_cholesky_at_zero_tolerance_refuses_a_zero_root_under_a_nonzero_remainder():
+    # Determinant -1e-340: not PSD. The remainder's square underflows, so the
+    # least pivot reads 0 and a zero root would have to carry 1e-170.
+    h = np.array([[0.0, 1e-170], [1e-170, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        message = (r"pivot 0\.000000e\+00 at index 0 is too small for its row remainder"
+                   r" \(max 1\.000000e-170; needs a positive pivot\)")
+        with pytest.raises(NotPositiveSemidefiniteError, match=message):
+            psd_cholesky(h, 0.0)
+
+
 def test_cholesky_zero_matrix():
     assert max_norm(psd_cholesky(np.zeros((3, 3)))) == 0.0
 

@@ -23,14 +23,21 @@ from hypothesis.extra import numpy as hnp
 from diagchan.channels import (
     ChannelFamily,
     DiagonalChannel,
+    _choi_blocks,
     apply_channel,
     choi_matrix,
     family_parameter_range,
     is_trace_preserving,
     min_choi_eigenvalue,
 )
-from diagchan.kraus import KrausSet, kraus_from_choi, reconstruction_residual
-from diagchan.linalg import DEFAULT_TOL, NotPositiveSemidefiniteError, max_norm
+from diagchan.kraus import (
+    KrausSet,
+    _factor_channel,
+    kraus_from_channel,
+    kraus_from_choi,
+    reconstruction_residual,
+)
+from diagchan.linalg import DEFAULT_TOL, HERMITIAN_ATOL, NotPositiveSemidefiniteError, max_norm
 from diagchan.transitions import (
     diagonal_block_coefficients,
     transition_closed_form,
@@ -191,3 +198,124 @@ def test_kraus_from_choi_refuses_off_pattern_matrices():
         else:
             with pytest.raises(ValueError, match="not the Choi matrix of a diagonal channel"):
                 kraus_from_choi(off)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_channels().map(lambda channel: channel[1]))
+@pinned
+def test_channel_factor_equals_choi_reader_bit_for_bit(coeffs):
+    choi = choi_matrix(coeffs)
+    assert np.array_equal(choi, choi.conj().T)
+    for tol in (DEFAULT_TOL, 0.0):
+        try:
+            via_choi = kraus_from_choi(choi, tol)
+        except NotPositiveSemidefiniteError as exc:
+            with pytest.raises(NotPositiveSemidefiniteError) as via_channel:
+                kraus_from_channel(coeffs, tol)
+            assert str(via_channel.value) == str(exc)
+            continue
+        ks = kraus_from_channel(coeffs, tol)
+        assert ks.source_rows == via_choi.source_rows
+        assert ks._stacked().tobytes() == via_choi._stacked().tobytes()
+        # The O(n^2) residual from the factor rows, as verify reports it.
+        residual = _factor_channel(_choi_blocks(coeffs), tol).completeness_residual()
+        assert abs(residual - ks.completeness_residual()) <= 1e-15
+
+
+def test_choi_reader_errors_keep_their_order_and_text():
+    choi = choi_matrix(DiagonalChannel.from_family("depolarizing", 2, 0.5))
+    # n = 2: slots 0 and 3 hold the coupled block, slots 1 and 2 the pair;
+    # (0, 1) lies off the pattern and (1, 2) on it.
+    nan_off, inf_on, skewed, stray = choi.copy(), choi.copy(), choi.copy(), choi.copy()
+    nan_off[0, 1] = np.nan
+    inf_on[1, 2] = np.inf
+    skewed[0, 3] += 1e-6
+    stray[0, 1] = stray[1, 0] = 1e-6
+    skewed_and_stray = skewed.copy()
+    skewed_and_stray[0, 1] = 1e-3
+    cases = [
+        (np.zeros((2, 2, 2)), "expected a 2-D matrix, got an array of rank 3"),
+        (np.full((3, 4), np.nan), "matrix entries must be finite"),
+        (nan_off, "matrix entries must be finite"),
+        (inf_on, "matrix entries must be finite"),
+        (np.zeros((3, 4)), "Choi matrix must be square, got shape (3, 4)"),
+        (np.eye(3), "Choi matrix size 3 is not n^2 for any dimension n >= 2"),
+        (np.eye(1), "Choi matrix size 1 is not n^2 for any dimension n >= 2"),
+        (skewed, "matrix is not Hermitian: max |M - M^*| = 1.000e-06 > 1.0e-12"),
+        (skewed_and_stray, "matrix is not Hermitian: max |M - M^*| = 1.000e-03 > 1.0e-12"),
+        (stray, "not the Choi matrix of a diagonal channel: an entry of magnitude 1.000e-06"
+                " lies off its pattern, beyond tolerance 7.5e-11"),
+    ]
+    for matrix, message in cases:
+        with pytest.raises(ValueError) as error:
+            kraus_from_choi(matrix)
+        assert str(error.value) == message
+
+
+def test_choi_reader_leaves_its_input_alone():
+    # Within the tolerances: a skew on the coupled block and a stray pair off
+    # the pattern, both of which the reader removes from its own copies.
+    choi = choi_matrix(DiagonalChannel.from_family("transpose_depolarizing", 3, 0.2))
+    choi[0, 4] += 3e-13j
+    choi[0, 1] = choi[1, 0] = 1e-13
+    before = choi.tobytes()
+    rows = kraus_from_choi(choi).source_rows
+    assert choi.tobytes() == before
+    choi.setflags(write=False)
+    assert kraus_from_choi(choi).source_rows == rows
+
+
+@pytest.mark.parametrize("family", list(ChannelFamily))
+def test_choi_reader_does_not_depend_on_memory_layout(family):
+    choi = choi_matrix(DiagonalChannel.from_family(family, 3, 0.2))
+    ks = kraus_from_choi(choi)
+    padded = np.zeros((18, 18), dtype=complex)
+    padded[::2, ::2] = choi
+    for layout in (choi.T, choi.conj().T, np.asfortranarray(choi), padded[::2, ::2]):
+        same = kraus_from_choi(layout)
+        assert same.source_rows == ks.source_rows
+        assert same._stacked().tobytes() == ks._stacked().tobytes()
+    stray = choi.copy()
+    stray[0, 1] = stray[1, 0] = 1e-6
+    with pytest.raises(ValueError) as row_major:
+        kraus_from_choi(stray)
+    with pytest.raises(ValueError) as column_major:
+        kraus_from_choi(np.asfortranarray(stray))
+    assert str(column_major.value) == str(row_major.value)
+
+
+def test_choi_reader_runs_the_full_hermiticity_pass_only_when_it_can_fail():
+    choi = choi_matrix(DiagonalChannel.from_family("depolarizing", 3, 0.5))
+    pivot_tol = DEFAULT_TOL * max_norm(choi)
+    rows = kraus_from_choi(choi).source_rows
+    # Slots 0 and 1 hold E_11 and E_12, off the pattern; slots 0 and 4 are
+    # coupled.
+    hermitian = choi.copy()
+    hermitian[0, 1] = hermitian[1, 0] = 1e-12
+    assert HERMITIAN_ATOL / 2 < 1e-12 < pivot_tol
+    assert kraus_from_choi(hermitian).source_rows == rows
+    skewed = hermitian.copy()
+    skewed[1, 0] += 2e-12
+    with pytest.raises(ValueError, match=r"not Hermitian: max \|M - M\^\*\| = 2\.000e-12"):
+        kraus_from_choi(skewed)
+    # Off-pattern entries within HERMITIAN_ATOL / 2 cannot break Hermiticity
+    # however they pair up; the pattern's own drift is checked in O(n^2).
+    small = choi.copy()
+    small[0, 1] = 4e-13
+    assert kraus_from_choi(small).source_rows == rows
+    on_pattern = choi.copy()
+    on_pattern[0, 4] += 2e-12
+    with pytest.raises(ValueError, match=r"not Hermitian: max \|M - M\^\*\| = 2\.000e-12"):
+        kraus_from_choi(on_pattern)
+
+
+def test_choi_reader_at_zero_tolerance_refuses_a_zero_root_under_a_nonzero_remainder():
+    # n = 2 with the pair block [[0, 1e-170], [1e-170, 1]] on slots 1 and 2:
+    # the remainder's square underflows, so row 1 would divide by a zero root.
+    choi = np.diag([0.5, 0.0, 1.0, 0.5]).astype(complex)
+    choi[1, 2] = choi[2, 1] = 1e-170
+    with pytest.raises(NotPositiveSemidefiniteError, match="at index 1 is too small") as structured:
+        kraus_from_choi(choi, 0.0)
+    with pytest.raises(NotPositiveSemidefiniteError) as dense:
+        dense_kraus_from_choi(choi, 0.0)
+    assert str(structured.value) == str(dense.value)
