@@ -66,6 +66,53 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
+def _sparse_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram matrix ``x^* x`` of the columns of a 2-D array, by row support.
+
+    Each row r adds ``conj(x[r, p]) x[r, q]`` to every pair (p, q) of the
+    columns in which it is nonzero (Gustavson's row-by-row product), so the
+    cost is one pass over x for its nonzero entries plus ``sum_r nnz(r)^2``
+    products and their sort. The m x m Gram of the m columns is never built.
+    The products go in batches of about ``x.size``, each merged into the
+    running sums, so memory stays within a fixed multiple of x and of the
+    pairs returned; a stack of k dense rows still takes k m^2 products, far
+    slower than one GEMM.
+
+    Returns ``(p, q, g)``: every column pair that shares a nonzero row, once,
+    in lexicographic order, with its entry g of ``x^* x``, each summed row
+    by row. Every other entry of ``x^* x`` is zero.
+    """
+    m = x.shape[1]
+    # Row-major, so each row's nonzeros are contiguous.
+    rows, cols = np.divmod(np.flatnonzero(x != 0), m)
+    values = x[rows, cols]
+    per_row = np.bincount(rows, minlength=x.shape[0])
+    row_start = (np.cumsum(per_row) - per_row)[rows]
+    # Nonzero e leads counts[e] products, one with each nonzero of its row.
+    counts = per_row[rows]
+    batch = (np.cumsum(counts) - counts) // max(x.size, 1)
+    bounds = np.append(np.flatnonzero(np.diff(batch, prepend=-1)), rows.size)
+    key = np.empty(0, dtype=np.intp)
+    gram = np.empty(0, dtype=np.complex128)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # The run of nonzero lo + e starts at ``run[e]`` and pairs it with
+        # each nonzero of its row in turn.
+        run = np.cumsum(counts[lo:hi]) - counts[lo:hi]
+        left = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        right = np.arange(left.size) + np.repeat(row_start[lo:hi] - run, counts[lo:hi])
+        # The running sums go first, so the stable sort keeps each pair's
+        # terms in row order.
+        key = np.concatenate([key, cols[left] * m + cols[right]])
+        gram = np.concatenate([gram, values[left].conj() * values[right]])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        gram = np.add.reduceat(gram[order], starts)
+        key = key[starts]
+    p, q = np.divmod(key, m)
+    return p, q, gram
+
+
 def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate that ``a`` is Hermitian to ``atol`` and return ``(a + a^*)/2``.
 

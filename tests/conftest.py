@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,18 @@ def random_psd(rng, n: int, rank: int | None = None) -> np.ndarray:
     rank = n if rank is None else rank
     b = random_complex(rng, rank, n)
     return b.conj().T @ b
+
+
+def peak_bytes(f, *args) -> int:
+    """Peak traced memory while ``f(*args)`` runs, above what was held before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -8,7 +8,9 @@ matrix, eigenvalue check or factorization and O(n^8) per Kraus residual,
 and serve only as oracles for the structured routes. The ``loop_``
 functions compute the transition matrices and the hybrid family's Kraus
 operators one entry, projector or operator at a time, as oracles for the
-batched routes.
+batched routes. The ``gemm_`` functions are the basis check as it was
+before it summed over the nonzero entries, and its Gram product: one GEMM
+of the whole stack, O(n^6) for the basis.
 """
 
 import json
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from diagchan.basis import expand, orthonormal_basis, reconstruct
+from diagchan.basis import ORTHONORMALITY_ATOL, expand, orthonormal_basis, reconstruct
 from diagchan.channels import apply_channel, channel_coefficients, choi_matrix
 from diagchan.kraus import KrausSet, hybrid_classical_pivots, reshape_row
 from diagchan.transitions import _clamp_noise
@@ -71,6 +73,32 @@ def unit_loop_residual(ks, channel) -> float:
             unit = matrix_unit(n, i, j)
             worst = max(worst, max_norm(einsum_kraus_apply(ks, unit) - dense_apply(coeffs, unit)))
     return worst
+
+
+def gemm_gram(x) -> np.ndarray:
+    """The Gram matrix ``x^* x`` of the columns of x, as one GEMM."""
+    x = np.asarray(x)
+    return x.conj().T @ x
+
+
+def gemm_basis_check(dim: int, elements) -> None:
+    """The checks of ``HermitianBasis`` with the whole drift and the whole
+    Gram matrix of the flattened stack, raising the same errors; non-finite
+    entries are refused first."""
+    arr = np.array(elements, dtype=np.complex128)
+    n = dim
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
+    if arr.shape != (n * n, n, n):
+        raise ValueError(f"expected {(n * n, n, n)} element stack, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    drift = max_norm(arr - arr.conj().transpose(0, 2, 1))
+    if drift > ORTHONORMALITY_ATOL:
+        raise ValueError(f"basis elements are not Hermitian: max drift {drift:.3e}")
+    flat = arr.reshape(n * n, n * n)
+    if max_norm(flat.conj() @ flat.T - np.eye(n * n)) > ORTHONORMALITY_ATOL:
+        raise ValueError("basis is not orthonormal under the Hilbert-Schmidt inner product")
 
 
 def dense_min_choi_eigenvalue(channel) -> float:

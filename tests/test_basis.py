@@ -13,7 +13,8 @@ from diagchan.basis import (
 )
 from diagchan.linalg import dagger, hs_inner, matrix_unit, max_norm
 
-from conftest import random_complex
+from conftest import peak_bytes, random_complex
+from oracles import gemm_basis_check
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -115,6 +116,100 @@ def test_rejects_non_orthonormal_stack():
     bad = np.stack([np.eye(2, dtype=complex)] * 4)
     with pytest.raises(ValueError, match="orthonormal"):
         HermitianBasis(2, bad)
+
+
+def documented_scales(n):
+    num_pairs = n * (n - 1) // 2
+    scales = [1.0 / np.sqrt(n)] + [1.0 / np.sqrt(2.0)] * (2 * num_pairs)
+    return np.array(scales + [1.0 / np.sqrt(m * (m + 1.0)) for m in range(1, n)])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_basis_is_the_scaled_family_bit_for_bit(n):
+    want = np.stack(generalized_pauli(n)) * documented_scales(n)[:, None, None]
+    got = orthonormal_basis(n).elements
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def rotated(elements, first, second, angle, both=True):
+    """The stack with elements ``first`` and ``second`` mixed by a rotation;
+    with ``both`` false only ``first`` is rotated, towards ``second``."""
+    out = elements.copy()
+    c, s = np.cos(angle), np.sin(angle)
+    out[first] = c * elements[first] + s * elements[second]
+    if both:
+        out[second] = -s * elements[first] + c * elements[second]
+    return out
+
+
+NOT_ORTHONORMAL = "basis is not orthonormal under the Hilbert-Schmidt inner product"
+
+
+def basis_refusals(n):
+    """(stack, message) for every refusal of ``HermitianBasis(n, stack)``."""
+    good = np.array(orthonormal_basis(n).elements)
+    cases = [(good[1:], f"expected {(n * n, n, n)} element stack, got {(n * n - 1, n, n)}")]
+    skew = good.copy()
+    skew[1, 0, 1] += 1e-6
+    cases.append((skew, "basis elements are not Hermitian: max drift 1.000e-06"))
+    for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)):
+        broken = good.copy()
+        broken[-1, 0, 0] = value
+        cases.append((broken, "matrix entries must be finite"))
+    for index in (0, 2, n * n - 1):
+        scaled = good.copy()
+        scaled[index] *= 1.0 + 1e-9
+        cases.append((scaled, NOT_ORTHONORMAL))
+    duplicated, zero = good.copy(), good.copy()
+    duplicated[2] = good[1]
+    zero[-1] = 0.0
+    cases += [(duplicated, NOT_ORTHONORMAL), (zero, NOT_ORTHONORMAL),
+              (rotated(good, 1, n * n - 1, 1e-6, both=False), NOT_ORTHONORMAL)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_every_refusal_names_its_check(n):
+    with pytest.raises(ValueError) as small:
+        HermitianBasis(1, np.ones((1, 1, 1)))
+    assert str(small.value) == "dimension must be at least 2, got 1"
+    for stack, message in basis_refusals(n):
+        with pytest.raises(ValueError) as error:
+            HermitianBasis(n, stack)
+        assert str(error.value) == message
+        with pytest.raises(ValueError) as dense:
+            gemm_basis_check(n, stack)
+        assert str(dense.value) == message
+
+
+def test_basis_check_allocates_no_gram_matrix():
+    # The checked copy of the stack takes 16 n^4 bytes, and so would the
+    # dense Gram matrix or a dense drift.
+    n = 16
+    elements = np.array(orthonormal_basis(n).elements)
+    assert peak_bytes(HermitianBasis, n, elements) < 1.5 * 16 * n ** 4
+
+
+def test_dense_basis_check_memory_stays_bounded():
+    # A real orthogonal mix of the basis is an orthonormal basis whose
+    # elements are dense: n^6 products, about 1.7 GB of index and product
+    # arrays at n = 16 if they were all held at once.
+    n = 16
+    mixer = np.linalg.qr(np.random.default_rng(0).standard_normal((n * n, n * n)))[0]
+    elements = np.einsum("ab,bij->aij", mixer, orthonormal_basis(n).elements)
+    assert peak_bytes(HermitianBasis, n, elements) < 24 * 16 * n ** 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_rotated_pairs_stay_orthonormal(n):
+    # A rotation mixes the supports of two elements but keeps the basis
+    # orthonormal; the sparse Gram must see both elements' entries.
+    good = np.array(orthonormal_basis(n).elements)
+    for first, second in [(1, 2), (0, n * n - 1), (1, n * n - 1)]:
+        mixed = rotated(good, first, second, 0.3)
+        gemm_basis_check(n, mixed)
+        assert HermitianBasis(n, mixed).elements.tobytes() == mixed.tobytes()
 
 
 # ----------------------------------------------------------------------

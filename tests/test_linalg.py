@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from diagchan.linalg import (
     NotPositiveSemidefiniteError,
+    _sparse_gram,
     as_complex_matrix,
     as_density_matrix,
     as_hermitian,
@@ -22,6 +23,7 @@ from diagchan.linalg import (
 )
 
 from conftest import random_complex, random_hermitian, random_psd
+from oracles import gemm_gram
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -307,3 +309,45 @@ def test_cholesky_reconstructs_hypothesis_psd(b):
     h = b.conj().T @ b
     r = psd_cholesky(h)
     assert max_norm(r.conj().T @ r - h) <= 1e-10 * max(1.0, max_norm(h))
+
+
+# ----------------------------------------------------------------------
+# sparse Gram
+# ----------------------------------------------------------------------
+
+@st.composite
+def sparse_stacks(draw):
+    """Complex k x m stacks, k possibly 0, whose entries are nonzero with a
+    drawn density, with some rows zeroed and one row possibly duplicated."""
+    k, m = draw(st.integers(0, 10)), draw(st.integers(1, 10))
+    density = draw(st.floats(0.0, 1.0))
+    re, im = draw(hnp.arrays(np.float64, (2, k, m), elements=st.floats(-10.0, 10.0)))
+    uniform = draw(hnp.arrays(np.float64, (k, m), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    x = (re + 1j * im) * (uniform < density)
+    if k:
+        rows = st.integers(0, k - 1)
+        x[draw(st.lists(rows, max_size=k))] = 0.0
+        x[draw(rows)] = x[draw(rows)]
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_stacks())
+@example(np.zeros((0, 3), dtype=complex))
+@example(np.zeros((4, 3), dtype=complex))
+@example(np.array([[1.0, 2j, 0.0], [1.0, 2j, 0.0], [0.0, 0.0, 0.0]]))
+def test_sparse_gram_matches_the_dense_gram(x):
+    p, q, gram = _sparse_gram(x)
+    m = x.shape[1]
+    assert np.all(np.diff(p * m + q) > 0)  # every pair once, in lexicographic order
+    shared = (x != 0).T.astype(int) @ (x != 0).astype(int) > 0
+    listed = np.zeros((m, m), dtype=bool)
+    listed[p, q] = True
+    assert np.array_equal(listed, shared)
+    dense = gemm_gram(x)
+    assert np.all(dense[~listed] == 0.0)
+    # Either sum of k products rounds by at most about k u times the two
+    # column norms.
+    scale = x.shape[0] * float((np.abs(x) ** 2).sum(axis=0).max())
+    assert max_norm(gram - dense[p, q]) <= 1e-15 * max(1.0, scale)
+
