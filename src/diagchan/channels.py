@@ -193,7 +193,7 @@ def _blocks(channel) -> _Blocks:
 
 
 def _transition_matrix(b: _Blocks) -> np.ndarray:
-    """``M = W^T diag(t) W``, whose row i is the diagonal of the image of E_ii."""
+    """``M = W^T diag(t) W``; the image of E_ii has M's column i on its diagonal."""
     return b.w.T @ (b.t[:, None] * b.w)
 
 
@@ -242,21 +242,8 @@ def apply_channel(channel, a) -> np.ndarray:
     m = as_complex_matrix(a)
     if m.shape != (b.n, b.n):
         raise ValueError(f"expected a {b.n}x{b.n} matrix, got shape {m.shape}")
-    return _apply_blocks(b, m)
-
-
-def _apply_blocks(b: _Blocks, x: np.ndarray) -> np.ndarray:
-    """The channel image of one n x n matrix, or of each matrix of a
-    (k, n, n) stack, by the block formula of :func:`apply_channel`.
-
-    The diagonals of a stack go through W as the n x k matrix of their
-    columns, so the whole stack costs two GEMMs; ``x`` is not validated.
-    """
-    out = b.coupled * x + b.pair * np.swapaxes(x, -1, -2)
-    columns = np.diagonal(x, axis1=-2, axis2=-1).T
-    t = b.t if x.ndim == 2 else b.t[:, None]
-    diagonal = np.arange(b.n)
-    out[..., diagonal, diagonal] = (b.w.T @ (t * (b.w @ columns))).T
+    out = b.coupled * m + b.pair * m.T
+    np.fill_diagonal(out, b.w.T @ (b.t * (b.w @ np.diagonal(m))))
     return out
 
 

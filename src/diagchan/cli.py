@@ -115,13 +115,19 @@ def matrix_document(m) -> dict:
     }
 
 
+def _is_json_real(x) -> bool:
+    """Whether ``x`` is a JSON number a float can hold: a float, or an int
+    (never a bool) within the float range."""
+    return isinstance(x, float) or (type(x) is int and abs(x) <= sys.float_info.max)
+
+
 def parse_matrix_document(doc) -> np.ndarray:
     """Inverse of :func:`matrix_document`, with validation."""
     if not isinstance(doc, dict) or "shape" not in doc or "entries" not in doc:
         raise ValueError('matrix document must be an object with "shape" and "entries"')
     shape = doc["shape"]
     if (not isinstance(shape, list) or len(shape) != 2
-            or not all(isinstance(s, int) and s > 0 for s in shape)):
+            or not all(type(s) is int and s > 0 for s in shape)):
         raise ValueError('matrix document "shape" must be two positive integers')
     rows, cols = shape
     entries = doc["entries"]
@@ -132,9 +138,7 @@ def parse_matrix_document(doc) -> np.ndarray:
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"entry row {r + 1} must carry {cols} [re, im] pairs")
         for c, pair in enumerate(row):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                               for x in pair)):
+            if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_json_real, pair)):
                 raise ValueError(f"entry at row {r + 1}, column {c + 1} must be an [re, im] pair")
             re, im = float(pair[0]), float(pair[1])
             if not (math.isfinite(re) and math.isfinite(im)):
@@ -172,7 +176,7 @@ def _resolve_channel(ns) -> tuple[int, np.ndarray, ChannelFamily | None]:
         data = data.get("coefficients")
         if data is None:
             raise ValueError('coefficient file object must carry a "coefficients" array')
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(map(_is_json_real, data)):
         raise ValueError("coefficient file must hold a JSON array of reals")
     arr = np.asarray(data, dtype=np.float64).ravel()
     n = math.isqrt(arr.size)
@@ -380,6 +384,10 @@ def main(argv=None) -> int:
         if not (math.isfinite(ns.tol) and ns.tol >= 0.0):
             raise ValueError(f"--tol must be a finite number >= 0, got {ns.tol!r}")
         doc, code = _COMMANDS[ns.command](ns)
+        text = render_json(doc) + "\n"
+        if ns.output is not None:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except DegenerateChannelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -389,11 +397,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = render_json(doc) + "\n"
-    if ns.output is not None:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: memory ran out for this input{detail}", file=sys.stderr)
+        return EXIT_INPUT
+    if ns.output is None:
         sys.stdout.write(text)
     return code
 

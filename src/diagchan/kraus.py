@@ -510,23 +510,18 @@ def hybrid_classical_pivots(n: int, p: float) -> HybridClassicalPivots:
 def hybrid_classical_kraus(n: int, p: float) -> KrausSet:
     """Closed-form Kraus set for the hybrid depolarizing classical family.
 
-    Produces all n^2 operators in the same row order as
-    :func:`kraus_from_choi` applied to the family's Choi matrix: scanning
-    positions (i, r) row-major, position (i, i) yields a diagonal operator
-    (pivot square root at (i, i), fill-over-root at the later diagonal
-    entries) and every other position (i, r) yields a single-entry operator
-    carrying sqrt((1-p)/n). For parameters strictly inside the family
-    interval the Choi matrix is positive definite, its triangular factor is
-    unique, and this list coincides entry-wise with the factorization route.
+    The closed-form factor goes through :meth:`_BlockFactor.kraus_set`, as
+    the factorization routes' do: row m of the coupled block's factor holds
+    ``sqrt(pivots[m])`` on its diagonal and ``offdiags[m]`` over that root
+    right of it, and each pair's two rows hold ``sqrt((1-p)/n)`` alone.
+    Strictly inside the family interval the Choi matrix is positive
+    definite and its factor unique, so all n^2 operators coincide entry-wise
+    and in order with :func:`kraus_from_choi` on it.
     """
     data = hybrid_classical_pivots(n, p)
-    ops = np.zeros((n * n, n, n), dtype=np.complex128)
-    i, r = np.divmod(np.arange(n * n), n)
-    single = i != r
-    ops[single, i[single], r[single]] = np.sqrt(data.uncoupled)
     roots = np.sqrt(data.pivots)
-    diagonal = np.arange(n)
-    ops[diagonal * (n + 1), diagonal, diagonal] = roots
+    coupled = np.diag(roots)
     upper, later = np.triu_indices(n, 1)
-    ops[upper * (n + 1), later, later] = (data.offdiags / roots[:-1])[upper]
-    return KrausSet(n, ops, tuple(range(n * n)))
+    coupled[upper, later] = (data.offdiags / roots[:-1])[upper]
+    pairs = np.full(n * (n - 1) // 2, np.sqrt(data.uncoupled))
+    return _BlockFactor(n, coupled, pairs, np.zeros_like(pairs), pairs).kraus_set()

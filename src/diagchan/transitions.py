@@ -3,9 +3,9 @@
 A diagonal channel sends each basis projector E_kk to a diagonal matrix, so
 its action on computational basis states is a classical Markov kernel:
 P[k][j] is the j-th diagonal entry of the image of E_kk. The kernel is
-computed two independent ways, by direct channel application and from a
-closed form in the diagonal-block coefficients alone, so each can serve as
-an oracle for the other.
+computed two independent ways, from the diagonal action that channel
+application uses and from a closed form in the diagonal-block coefficients
+alone, so each can serve as an oracle for the other.
 """
 
 from __future__ import annotations
@@ -13,14 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import diagonal_block_slice
-from .channels import _apply_blocks, _blocks, channel_coefficients
+from .channels import _blocks, _transition_matrix, channel_coefficients
 
 #: Negative entries above this threshold are rounding noise and clamped to 0.
 CLAMP_ATOL = 1e-12
-
-# Most entries in one stack of projectors applied by transition_direct:
-# every n <= 101 takes a single stack.
-_CHUNK_ENTRIES = 2 ** 20
 
 
 def _clamp_noise(p: np.ndarray) -> np.ndarray:
@@ -34,42 +30,15 @@ def diagonal_block_coefficients(channel) -> np.ndarray:
     return coeffs[diagonal_block_slice(n)]
 
 
-def transition_direct(channel, tol: float = 1e-12) -> np.ndarray:
-    """Transition matrix by direct application to the basis projectors.
+def transition_direct(channel) -> np.ndarray:
+    """Transition matrix from the channel's action on the diagonal.
 
-    Row k holds the diagonal of the channel image of E_kk. The projectors
-    are applied as (m, n, n) stacks of at most ``_CHUNK_ENTRIES`` entries,
-    so memory stays O(n^2) beyond that fixed chunk. Each image must be
-    diagonal to within ``tol``; anything else signals a broken channel or
-    basis and raises ArithmeticError naming the first failing projector.
+    Row k holds the diagonal of the channel image of E_kk, which is diagonal
+    because the pair blocks act only off the diagonal: column k of
+    ``M = W^T diag(t) W``, the diagonal action of
+    :func:`~diagchan.channels.apply_channel`. One n x n GEMM, O(n^2) memory.
     """
-    b = _blocks(channel)
-    n = b.n
-    p = np.empty((n, n))
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    diagonal = np.arange(n)
-    for start in range(0, n, step):
-        rows = diagonal[start:start + step]
-        projectors = np.zeros((rows.size, n, n), dtype=np.complex128)
-        projectors[rows - start, rows, rows] = 1.0
-        images = _apply_blocks(b, projectors)
-        diag = np.diagonal(images, axis1=1, axis2=2).copy()
-        images[:, diagonal, diagonal] = 0.0
-        off = np.abs(images).max(axis=(1, 2))
-        imaginary = np.abs(diag.imag).max(axis=1)
-        bad = np.flatnonzero((off > tol) | (imaginary > tol))
-        if bad.size:
-            k = bad[0]
-            if off[k] > tol:
-                raise ArithmeticError(
-                    f"image of basis projector {rows[k] + 1} is not diagonal "
-                    f"(off-diagonal magnitude {off[k]:.3e})"
-                )
-            raise ArithmeticError(
-                f"image of basis projector {rows[k] + 1} has complex diagonal entries"
-            )
-        p[rows] = diag.real
-    return _clamp_noise(p)
+    return _clamp_noise(_transition_matrix(_blocks(channel)).T)
 
 
 def transition_closed_form(t, n: int) -> np.ndarray:

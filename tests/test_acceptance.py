@@ -27,6 +27,7 @@ from diagchan.linalg import (
     NotPositiveSemidefiniteError,
     dagger,
     hermitian_eigenvalues,
+    matrix_unit,
     max_norm,
     psd_cholesky,
 )
@@ -36,6 +37,8 @@ from diagchan.transitions import (
     transition_closed_form,
     transition_direct,
 )
+
+from oracles import dense_apply
 
 ALL_FAMILIES = list(ChannelFamily)
 HYBRID = ChannelFamily.HYBRID_DEPOLARIZING_CLASSICAL
@@ -134,20 +137,32 @@ def test_criterion_4_pivot_identities(capsys):
 
 def test_criterion_5_transition_probabilities(capsys):
     worst_match = 0.0
+    worst_off = 0.0
+    worst_image = 0.0
     all_stochastic = True
     for family in ALL_FAMILIES:
         for n in range(2, 9):
             lo, hi = family_parameter_range(family, n)
             for p in (lo, (lo + hi) / 2, hi):
                 channel = DiagonalChannel.from_family(family, n, p)
-                direct = transition_direct(channel)  # asserts diagonal images
+                direct = transition_direct(channel)
                 closed = transition_closed_form(diagonal_block_coefficients(channel), n)
                 worst_match = max(worst_match, max_norm(direct - closed))
                 all_stochastic = all_stochastic and is_row_stochastic(direct, 1e-12)
+                # The paper's first result on the basis route: each E_kk maps
+                # to a real diagonal matrix whose diagonal is row k.
+                for k in range(n):
+                    image = dense_apply(channel, matrix_unit(n, k, k))
+                    diagonal = np.diag(image)
+                    worst_off = max(worst_off, max_norm(image - np.diag(diagonal)),
+                                    max_norm(diagonal.imag))
+                    worst_image = max(worst_image, max_norm(diagonal.real - direct[k]))
     report(capsys, 5,
            f"transition probabilities (closed-vs-direct {worst_match:.2e}, "
+           f"non-diagonal images {worst_off:.2e}, image-vs-direct {worst_image:.2e}, "
            f"stochastic {all_stochastic})",
-           worst_match <= 1e-12 and all_stochastic)
+           worst_match <= 1e-12 and worst_off <= 1e-12 and worst_image <= 1e-12
+           and all_stochastic)
 
 
 def test_criterion_6_cp_boundary_sharpness(capsys):

@@ -374,6 +374,68 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert len(json.loads(out_path.read_text())) == 4
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_exits_2_and_writes_nothing(capsys, tmp_path, target):
+    path = tmp_path / "no" / "such" / "out.json" if target == "missing" else tmp_path
+    code = main(["verify", "--n", "3", "--family", "depolarizing", "--p", "0.2",
+                 "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 37.3 GiB")])
+def test_memory_error_exits_2_with_a_message(capsys, monkeypatch, error):
+    def exhaust(ns):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", exhaust)
+    code = main(["verify", "--n", "100000", "--family", "depolarizing", "--p", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    detail = f": {error}" if str(error) else ""
+    assert captured.err == f"error: memory ran out for this input{detail}\n"
+
+
+@pytest.mark.parametrize("data", [
+    [[1, 0], [0, 0]],
+    [True, False, False, False],
+    [1.0, 0.5, True, 0.5],
+    [10 ** 400, 0, 0, 0],
+    {"coefficients": [[1, 0], [0, 0]]},
+    {"coefficients": [True, False, False, False]},
+])
+def test_coefficient_file_refuses_all_but_a_flat_array_of_reals(capsys, tmp_path, data):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", "--coefficients", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: coefficient file must hold a JSON array of reals\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"shape": [True, True], "entries": [[[1, 0]]]},
+     'matrix document "shape" must be two positive integers'),
+    ({"shape": [2, 2], "entries": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]},
+     "entry at row 1, column 1 must be an [re, im] pair"),
+    ({"shape": [2, 2], "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 10 ** 400]]]},
+     "entry at row 2, column 2 must be an [re, im] pair"),
+])
+def test_apply_input_refuses_booleans_and_huge_integers(capsys, tmp_path, doc, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code = main(["apply", *HYBRID_FLAGS, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_conflicting_channel_flags_rejected(capsys, tmp_path):
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps([1.0] * 4))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from diagchan import transitions
 from diagchan.channels import ChannelFamily, DiagonalChannel, family_parameter_range
 from diagchan.transitions import (
     diagonal_block_coefficients,
@@ -15,6 +14,7 @@ from diagchan.transitions import (
 )
 from diagchan.linalg import max_norm
 
+from conftest import peak_bytes
 from oracles import loop_transition_closed_form, loop_transition_direct
 
 
@@ -43,58 +43,12 @@ def test_two_level_formula():
     assert max_norm(transition_direct(ch) - want) <= 1e-14
 
 
-@pytest.mark.parametrize("entries", [1, 2 * 49, 3 * 49 + 1])
-def test_projector_chunks_match_one_stack(monkeypatch, entries):
-    # n = 7 in chunks of 1, 2 and 3 projectors; the last chunk is partial.
-    rng = np.random.default_rng(7)
-    coeffs = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, 48)])
-    whole = transition_direct(coeffs)
-    sizes = []
-    apply_blocks = transitions._apply_blocks
-
-    def recording(b, projectors):
-        sizes.append(projectors.size)
-        return apply_blocks(b, projectors)
-
-    monkeypatch.setattr(transitions, "_apply_blocks", recording)
-    monkeypatch.setattr(transitions, "_CHUNK_ENTRIES", entries)
-    chunked = transition_direct(coeffs)
-    assert sum(sizes) == 7 * 49 and max(sizes) == 49 * max(1, entries // 49)
-    assert max_norm(chunked - whole) <= 1e-15
-    assert max_norm(chunked - loop_transition_direct(coeffs)) <= 1e-15
-
-
-def _break_images(monkeypatch, faults):
-    """Make the image of each 1-based projector in ``faults`` non-diagonal
-    ("off") or complex on its diagonal ("complex")."""
-    apply_blocks = transitions._apply_blocks
-
-    def broken(b, projectors):
-        images = apply_blocks(b, projectors)
-        for projector, fault in faults.items():
-            k = projector - 1
-            for at in np.flatnonzero(projectors[:, k, k]):
-                if fault == "off":
-                    images[at, 0, 1] = 1e-3
-                else:
-                    images[at, k, k] += 1e-3j
-        return images
-
-    monkeypatch.setattr(transitions, "_apply_blocks", broken)
-
-
-@pytest.mark.parametrize("entries", [2 ** 20, 2 * 25])
-@pytest.mark.parametrize("faults, message", [
-    ({3: "off", 5: "complex"}, r"3 is not diagonal \(off-diagonal magnitude 1\.000e-03\)"),
-    ({3: "complex", 4: "off"}, "3 has complex diagonal entries"),
-    ({4: "complex", 3: "off"}, "3 is not diagonal"),
-])
-def test_broken_image_names_first_failing_projector(monkeypatch, entries, faults, message):
-    # At 2 * 25 entries the n = 5 projectors come in chunks of two.
-    monkeypatch.setattr(transitions, "_CHUNK_ENTRIES", entries)
-    _break_images(monkeypatch, faults)
-    with pytest.raises(ArithmeticError, match=f"^image of basis projector {message}"):
-        transition_direct(DiagonalChannel.from_family(ChannelFamily.DEPOLARIZING, 5, 0.3))
+def test_direct_memory_is_quadratic():
+    # The rows come from the n x n diagonal action: a few n x n arrays, and
+    # no stack of n projectors of size n x n.
+    n = 128
+    coeffs = np.concatenate([[1.0], np.random.default_rng(3).uniform(-1.0, 1.0, n * n - 1)])
+    assert peak_bytes(transition_direct, coeffs) < 6 * 8 * n * n
 
 
 # ----------------------------------------------------------------------
