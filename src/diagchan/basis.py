@@ -121,12 +121,14 @@ def orthonormal_basis(n: int) -> HermitianBasis:
     the m-th traceless diagonal matrix by 1/sqrt(m(m+1)). Results are
     cached per dimension and safe to share.
     """
-    elements = np.stack(generalized_pauli(n))
+    elements = generalized_pauli(n)
     num_pairs = n * (n - 1) // 2
     scales = [1.0 / np.sqrt(n)]
     scales += [1.0 / np.sqrt(2.0)] * (2 * num_pairs)
     scales += [1.0 / np.sqrt(m * (m + 1.0)) for m in range(1, n)]
-    elements *= np.array(scales)[:, None, None]
+    for element, scale in zip(elements, scales):
+        element *= scale
+    # The basis stacks the list in its own copy: no second stack is built.
     return HermitianBasis(n, elements)
 
 

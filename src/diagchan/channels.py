@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix
+from .linalg import DEFAULT_TOL, as_complex_matrix, max_norm
 
 #: Slack applied to family parameter bounds and coefficient bounds.
 BOUND_SLACK = 1e-12
@@ -146,21 +146,18 @@ def channel_coefficients(channel) -> tuple[int, np.ndarray]:
     return n, arr
 
 
-class _Blocks(NamedTuple):
-    """A coefficient vector split by basis block.
-
-    ``coupled`` and ``pair`` are symmetric n x n matrices with zero diagonal
-    holding (s+a)/2 and (s-a)/2 at (i, j) and (j, i) for every pair i < j,
-    where s and a are the pair's symmetric and antisymmetric coefficients.
-    ``t`` holds the leading coefficient followed by the n-1 diagonal-block
-    coefficients, and ``w`` is the diagonal sub-basis acting on them.
-    """
-
-    n: int
-    coupled: np.ndarray
-    pair: np.ndarray
-    t: np.ndarray
-    w: np.ndarray
+def _coefficient_blocks(channel) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``(n, s, a, t)``: a channel's coefficients split by basis block, as
+    views where they are contiguous. s and a hold the symmetric and
+    antisymmetric coefficients of the pairs i < j in the order of
+    ``basis.pair_indices``; t holds the leading coefficient followed by the
+    n-1 diagonal-block coefficients."""
+    n, coeffs = channel_coefficients(channel)
+    num_pairs = n * (n - 1) // 2
+    s = coeffs[1:1 + num_pairs]
+    a = coeffs[1 + num_pairs:1 + 2 * num_pairs]
+    t = np.concatenate([coeffs[:1], coeffs[1 + 2 * num_pairs:]])
+    return n, s, a, t
 
 
 @lru_cache(maxsize=None)
@@ -177,54 +174,39 @@ def _diagonal_sub_basis(n: int) -> np.ndarray:
     return w
 
 
-def _blocks(channel) -> _Blocks:
-    """Split a channel's coefficients into its (s, a, t) blocks, in O(n^2)."""
-    n, coeffs = channel_coefficients(channel)
-    num_pairs = n * (n - 1) // 2
-    s = coeffs[1:1 + num_pairs]
-    a = coeffs[1 + num_pairs:1 + 2 * num_pairs]
-    slots = _choi_slots(n)  # the pairs in the order of basis.pair_indices
-    coupled = np.zeros(n * n)
-    pair = np.zeros(n * n)
-    coupled[slots.upper] = coupled[slots.lower] = (s + a) / 2.0
-    pair[slots.upper] = pair[slots.lower] = (s - a) / 2.0
-    t = np.concatenate([coeffs[:1], coeffs[1 + 2 * num_pairs:]])
-    return _Blocks(n, coupled.reshape(n, n), pair.reshape(n, n), t, _diagonal_sub_basis(n))
-
-
-def _transition_matrix(b: _Blocks) -> np.ndarray:
+def _transition_matrix(n: int, t: np.ndarray) -> np.ndarray:
     """``M = W^T diag(t) W``; the image of E_ii has M's column i on its diagonal."""
-    return b.w.T @ (b.t[:, None] * b.w)
+    w = _diagonal_sub_basis(n)
+    return w.T @ (t[:, None] * w)
 
 
 class _ChoiSlots(NamedTuple):
     """Where a diagonal channel's entries sit in its n^2 x n^2 Choi matrix.
 
     Row and column i*n+j hold the slot of the matrix unit E_ij. ``coupled``
-    lists the n slots i*n+i of the coupled block D; ``upper`` and ``lower``
-    list the slots i*n+j and j*n+i of each pair i < j, in the order of
-    ``basis.pair_indices``. Every entry off these slots and off the diagonal
-    is zero. ``pair_entries`` and ``coupled_entries`` are (2, pairs) arrays
-    of positions in the flattened matrix: the pair's entries (i*n+j, j*n+i)
-    and (j*n+i, i*n+j), and D's entries (i*n+i, j*n+j) and (j*n+j, i*n+i).
+    lists the n slots i*n+i of the coupled block D, which is the strided
+    view ``C[::n+1, ::n+1]``; ``upper`` and ``lower`` list the slots i*n+j
+    and j*n+i of each pair i < j, in the order of ``basis.pair_indices``.
+    ``pair_entries`` is the (4, pairs) array of the positions in the
+    flattened C of each pair's 2 x 2 block: its entries (i*n+j, i*n+j),
+    (j*n+i, j*n+i), (i*n+j, j*n+i) and (j*n+i, i*n+j). D and the pair blocks
+    cover the diagonal; every entry off them is zero.
     """
 
     coupled: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
     pair_entries: np.ndarray
-    coupled_entries: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _choi_slots(n: int) -> _ChoiSlots:
     rows, cols = np.triu_indices(n, 1)
     upper, lower = rows * n + cols, cols * n + rows
-    first, second = rows * (n + 1), cols * (n + 1)
     size = n * n
     slots = _ChoiSlots(np.arange(n) * (n + 1), upper, lower,
-                       np.stack([upper * size + lower, lower * size + upper]),
-                       np.stack([first * size + second, second * size + first]))
+                       np.stack([upper, lower, upper, lower]) * size
+                       + np.stack([upper, lower, lower, upper]))
     for index in slots:
         index.setflags(write=False)
     return slots
@@ -238,42 +220,34 @@ def apply_channel(channel, a) -> np.ndarray:
     expanding X in the orthonormal basis, scaling each coefficient and
     reconstructing, without the n^2 basis elements.
     """
-    b = _blocks(channel)
+    n, s, anti, t = _coefficient_blocks(channel)
     m = as_complex_matrix(a)
-    if m.shape != (b.n, b.n):
-        raise ValueError(f"expected a {b.n}x{b.n} matrix, got shape {m.shape}")
-    out = b.coupled * m + b.pair * m.T
-    np.fill_diagonal(out, b.w.T @ (b.t * (b.w @ np.diagonal(m))))
+    if m.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    # Symmetric n x n matrices with zero diagonal holding (s+a)/2 and
+    # (s-a)/2 at (i, j) and (j, i).
+    slots = _choi_slots(n)
+    coupled = np.zeros(n * n)
+    pair = np.zeros(n * n)
+    coupled[slots.upper] = coupled[slots.lower] = (s + anti) / 2.0
+    pair[slots.upper] = pair[slots.lower] = (s - anti) / 2.0
+    out = coupled.reshape(n, n) * m + pair.reshape(n, n) * m.T
+    w = _diagonal_sub_basis(n)
+    np.fill_diagonal(out, w.T @ (t * (w @ np.diagonal(m))))
     return out
 
 
-def choi_matrix(channel) -> np.ndarray:
-    """The n^2 x n^2 Choi matrix, scattered from the coefficient blocks.
-
-    Block (i, j) of size n x n is the channel image of the matrix unit
-    E_ij: block (i, i) is ``diag(M[i])`` with ``M = W^T diag(t) W``, the
-    coupled slots (i*n+i, j*n+j) hold (s+a)/2 and the pair slots
-    (i*n+j, j*n+i) hold (s-a)/2. Every other entry is zero. Every block is
-    symmetric, so the result is exactly Hermitian by construction; each
-    scattered value has ``+ 0.0`` added, which turns -0.0 into +0.0.
-    """
-    b = _blocks(channel)
-    n = b.n
-    slots = _choi_slots(n)
-    c = np.zeros((n * n, n * n), dtype=np.complex128)
-    entries = c.reshape(-1)
-    entries[slots.pair_entries] = b.pair.flat[slots.upper] + 0.0
-    entries[slots.coupled_entries] = b.coupled.flat[slots.upper] + 0.0
-    np.fill_diagonal(c, _transition_matrix(b).ravel() + 0.0)
-    return c
-
-
 class _ChoiBlocks(NamedTuple):
-    """A diagonal channel's Choi matrix by block, on the slots of
-    :func:`_choi_slots`: the real coupled block ``d`` on the slots i*n+i, with
-    ``M = W^T diag(t) W`` on its diagonal and (s+a)/2 off it, and for every
-    pair i < j the real 2 x 2 block ``[[x, b], [b, y]]`` with ``x = M_ij``,
-    ``y = M_ji`` and ``b = (s-a)/2``. Every entry of ``d`` is +0.0 if zero."""
+    """A diagonal channel's Choi matrix C by block, on the slots of
+    :func:`_choi_slots`: the coupled block ``d = C[::n+1, ::n+1]`` and, for
+    every pair i < j, the 2 x 2 block ``[[x, b], [b*, y]]`` on the slots
+    (i*n+j, j*n+i). Every other entry of C is zero. ``d`` and ``b`` are
+    complex, ``x`` and ``y`` real.
+
+    From a channel, ``d`` is ``M = W^T diag(t) W`` on its diagonal and
+    (s+a)/2 off it, ``x = M_ij``, ``y = M_ji`` and ``b = (s-a)/2``, all
+    real-valued, and every zero is +0.0, as in :func:`choi_matrix`.
+    """
 
     n: int
     d: np.ndarray
@@ -281,17 +255,44 @@ class _ChoiBlocks(NamedTuple):
     y: np.ndarray
     b: np.ndarray
 
+    def scale(self) -> float:
+        """``max_norm(C)``: the largest magnitude in the blocks."""
+        return max(max_norm(self.d), max_norm(self.x), max_norm(self.y), max_norm(self.b))
+
 
 def _choi_blocks(channel) -> _ChoiBlocks:
     """The Choi matrix's blocks from the coefficient blocks, in O(n^2) plus
-    the n x n GEMM of M."""
-    blocks = _blocks(channel)
-    m = _transition_matrix(blocks)
-    slots = _choi_slots(blocks.n)
-    # Adding the diagonal matrix adds +0.0 to every entry of D.
-    d = blocks.coupled + np.diag(np.diagonal(m))
-    return _ChoiBlocks(blocks.n, d, m.flat[slots.upper], m.flat[slots.lower],
-                       blocks.pair.flat[slots.upper])
+    the n x n GEMM of M. Adding 0.0 turns every -0.0 into +0.0."""
+    n, s, a, t = _coefficient_blocks(channel)
+    slots = _choi_slots(n)
+    # Entry (i, j) of an n x n matrix sits at i*n+j of its flattening: the
+    # slot numbers index D and M.
+    m = _transition_matrix(n, t).reshape(-1) + 0.0
+    d = np.zeros(n * n)
+    d[slots.coupled] = m[slots.coupled]
+    d[slots.upper] = d[slots.lower] = (s + a) / 2.0
+    return _ChoiBlocks(n, (d + 0j).reshape(n, n), m[slots.upper], m[slots.lower],
+                       (s - a) / 2.0 + 0j)
+
+
+def choi_matrix(channel) -> np.ndarray:
+    """The n^2 x n^2 Choi matrix, scattered from :func:`_choi_blocks`.
+
+    Block (i, j) of size n x n is the channel image of the matrix unit
+    E_ij: block (i, i) is ``diag(M[i])`` with ``M = W^T diag(t) W``, the
+    coupled slots (i*n+i, j*n+j) hold (s+a)/2 and the pair slots
+    (i*n+j, j*n+i) hold (s-a)/2. Every other entry is zero. Every block is
+    symmetric, so the result is exactly Hermitian by construction, and no
+    entry is -0.0.
+    """
+    blocks = _choi_blocks(channel)
+    n = blocks.n
+    slots = _choi_slots(n)
+    c = np.zeros((n * n, n * n), dtype=np.complex128)
+    c[::n + 1, ::n + 1] = blocks.d
+    # The conjugate turns +0.0 imaginary parts into -0.0; adding 0.0 restores them.
+    c.reshape(-1)[slots.pair_entries] = blocks.x, blocks.y, blocks.b, blocks.b.conj() + 0.0
+    return c
 
 
 def min_choi_eigenvalue(channel) -> float:
@@ -302,10 +303,11 @@ def min_choi_eigenvalue(channel) -> float:
     The smaller eigenvalue of a pair block is
     ``(x+y)/2 - hypot((x-y)/2, b)``. The Choi matrix itself is never built.
     """
+    # A channel's blocks are real-valued: the real symmetric eigensolver.
     blocks = _choi_blocks(channel)
     x, y = blocks.x, blocks.y
-    pairs = (x + y) / 2.0 - np.hypot((x - y) / 2.0, blocks.b)
-    return float(min(np.linalg.eigvalsh(blocks.d)[0], pairs.min()))
+    pairs = (x + y) / 2.0 - np.hypot((x - y) / 2.0, blocks.b.real)
+    return float(min(np.linalg.eigvalsh(blocks.d.real)[0], pairs.min()))
 
 
 def is_completely_positive(channel, tol: float = DEFAULT_TOL) -> bool:

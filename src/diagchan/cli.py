@@ -23,7 +23,6 @@ from .basis import orthonormal_basis
 from .channels import (
     ChannelFamily,
     DiagonalChannel,
-    _choi_blocks,
     choi_matrix,
     apply_channel,
     is_trace_preserving,
@@ -56,17 +55,6 @@ _FAMILY_NAMES = [f.value for f in ChannelFamily]
 # Deterministic JSON rendering
 # ----------------------------------------------------------------------
 
-def _render_number(x: float) -> str:
-    if isinstance(x, bool):  # guard: bools are ints in Python
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("non-finite number in output document")
-    return format(x, ".17g")
-
-
 def _is_entry(pair) -> bool:
     """Whether ``pair`` is a matrix entry ``[re, im]`` of two finite floats."""
     return (type(pair) is list and len(pair) == 2
@@ -77,32 +65,25 @@ def _is_entry(pair) -> bool:
 def render_json(value) -> str:
     """Serialize a document with insertion-ordered keys and %.17g floats.
 
-    Floats, lists and dicts are dispatched on their exact type, and a row of
-    matrix entries is rendered in one pass, so a large matrix document costs
-    one call per row instead of a chain of type checks per number.
+    A document holds only dicts, lists, tuples, floats, ints, bools, None
+    and strings, dispatched on their exact type. A row of matrix entries is
+    rendered in one pass, so a large matrix document costs one call per row
+    instead of a chain of type checks per number.
     """
     kind = type(value)
     if kind is float:
-        return _render_number(value)
+        if not math.isfinite(value):
+            raise ValueError("non-finite number in output document")
+        return format(value, ".17g")
     if kind is list and value and all(map(_is_entry, value)):
         return "[" + ",".join(["[%.17g,%.17g]" % (re, im) for re, im in value]) + "]"
     if kind is list or kind is tuple:
         return "[" + ",".join(map(render_json, value)) + "]"
     if kind is dict:
         return "{" + ",".join([f"{json.dumps(k)}:{render_json(v)}" for k, v in value.items()]) + "}"
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return _render_number(value)
-    if isinstance(value, str):
+    if value is None or kind is bool or kind is int or kind is str:
         return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{render_json(v)}" for k, v in value.items()) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def matrix_document(m) -> dict:
@@ -258,7 +239,7 @@ def _cmd_verify(ns):
     factor = None
     if min_eigenvalue >= -ns.tol:
         try:
-            factor = _factor_channel(_choi_blocks(coeffs), ns.tol)
+            factor = _factor_channel(coeffs, ns.tol)
         except NotPositiveSemidefiniteError:
             # The factorization's pivot test is relative to max_norm(choi),
             # the eigenvalue test absolute: a channel can pass the one and

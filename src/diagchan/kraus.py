@@ -38,6 +38,7 @@ from .linalg import (
     _least_pivots,
     _negative_pivot,
     _psd_cholesky,
+    _refine_least_pivots,
     _small_pivot,
     as_complex_matrix,
     dagger,
@@ -204,7 +205,7 @@ def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
     Raises:
         NotPositiveSemidefiniteError: as :func:`kraus_from_choi`.
     """
-    return _factor_channel(_choi_blocks(channel), tol).kraus_set()
+    return _factor_channel(channel, tol).kraus_set()
 
 
 #: Largest off-pattern magnitude for which the full Hermiticity pass is
@@ -213,9 +214,9 @@ def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
 _OFF_PATTERN_HERMITIAN = HERMITIAN_ATOL / 2.0 * (1.0 - 1e-12)
 
 
-def _read_choi(choi, tol: float):
-    """``(n, D, x, y, b, tol * max_norm(C))`` of a diagonal channel's Choi
-    matrix, with the checks of :func:`kraus_from_choi`.
+def _read_choi(choi, tol: float) -> tuple[_ChoiBlocks, float]:
+    """The blocks of a diagonal channel's Choi matrix and the pivot tolerance
+    ``tol * max_norm(C)``, with the checks of :func:`kraus_from_choi`.
 
     Only D, x, y and b are symmetrized. The off-pattern maximum of ``|C|``
     gives the finiteness check, the pattern test and, with the pattern's
@@ -239,13 +240,13 @@ def _read_choi(choi, tol: float):
 
     slots = _choi_slots(n)
     upper, lower = slots.upper, slots.lower
-    d, x, y = c[np.ix_(slots.coupled, slots.coupled)], c[upper, upper], c[lower, lower]
+    diagonal = c.diagonal()
+    d, x, y = c[::n + 1, ::n + 1], diagonal[upper], diagonal[lower]
     b, mirror = c[upper, lower], c[lower, upper]
-    # Row-major whatever the input's layout, so that ``entries`` is a view.
+    # Row-major whatever the input's layout, so that its flattening is a view.
     magnitude = np.abs(c, order="C")
-    entries = magnitude.reshape(-1)
-    entries[slots.pair_entries] = entries[slots.coupled_entries] = 0.0
-    np.fill_diagonal(magnitude, 0.0)
+    magnitude[::n + 1, ::n + 1] = 0.0
+    magnitude.reshape(-1)[slots.pair_entries] = 0.0
     stray = float(magnitude.max())
     if not (math.isfinite(stray) and all(np.isfinite(v).all() for v in (d, x, y, b, mirror))):
         raise ValueError("matrix entries must be finite")
@@ -261,27 +262,21 @@ def _read_choi(choi, tol: float):
     d = (d + d.conj().T) / 2.0
     x = ((x + x.conj()) / 2.0).real
     y = ((y + y.conj()) / 2.0).real
-    b = (b + mirror.conj()) / 2.0
-    scale = max(stray, max_norm(d), max_norm(x), max_norm(y), max_norm(b))
-    pivot_tol = tol * scale
+    blocks = _ChoiBlocks(n, d, x, y, (b + mirror.conj()) / 2.0)
+    pivot_tol = tol * max(stray, blocks.scale())
     if stray > pivot_tol:
         raise ValueError(
             f"not the Choi matrix of a diagonal channel: an entry of magnitude {stray:.3e}"
             f" lies off its pattern, beyond tolerance {pivot_tol:.1e}"
         )
-    return n, d, x, y, b, pivot_tol
+    return blocks, pivot_tol
 
 
-def _factor_channel(blocks: _ChoiBlocks, tol: float) -> _BlockFactor:
-    """The factor of a channel's Choi matrix from its blocks, fed the values
-    that :func:`_read_choi` reads from ``choi_matrix``: D and b complex, and
-    ``+ 0.0`` added to x, y and b as ``choi_matrix`` adds it (D has it
-    already). The scale ``max_norm(C)`` is the largest entry of the blocks."""
-    d = blocks.d.astype(np.complex128)
-    x, y = blocks.x + 0.0, blocks.y + 0.0
-    b = (blocks.b + 0.0).astype(np.complex128)
-    scale = max(max_norm(blocks.d), max_norm(x), max_norm(y), max_norm(blocks.b))
-    return _factor_blocks(blocks.n, d, x, y, b, tol * scale)
+def _factor_channel(channel, tol: float) -> _BlockFactor:
+    """The factor of a channel's Choi matrix from :func:`_choi_blocks`, which
+    are the blocks :func:`_read_choi` reads from ``choi_matrix``."""
+    blocks = _choi_blocks(channel)
+    return _factor_blocks(blocks, tol * blocks.scale())
 
 
 class _BlockFactor(NamedTuple):
@@ -339,16 +334,18 @@ class _BlockFactor(NamedTuple):
         return max_norm(total - 1.0)
 
 
-def _factor_blocks(n: int, d, x, y, b, pivot_tol: float) -> _BlockFactor:
+def _factor_blocks(blocks: _ChoiBlocks, pivot_tol: float) -> _BlockFactor:
     """The semidefinite Cholesky factor of a diagonal channel's Choi matrix
-    from its blocks: the coupled block D (overwritten) by the elimination of
+    from its blocks: the coupled block D, on a copy, by the elimination of
     :func:`~diagchan.linalg.psd_cholesky` and the pair blocks
     ``[[x, b], [b*, y]]`` in closed form, with the absolute ``pivot_tol``.
     Raises the error of the smallest failing row of the whole matrix."""
+    n = blocks.n
     slots = _choi_slots(n)
-    root, coupling, second_root, failure = _factor_pairs(x, y, b, pivot_tol, slots)
+    root, coupling, second_root, failure = _factor_pairs(blocks.x, blocks.y, blocks.b,
+                                                         pivot_tol, slots)
     stop = n * n if failure is None else failure[0]
-    r = _psd_cholesky(d, pivot_tol, slots.coupled[slots.coupled < stop])
+    r = _psd_cholesky(blocks.d.copy(), pivot_tol, slots.coupled[slots.coupled < stop])
     if failure is not None:
         raise failure[1]
     return _BlockFactor(n, r, root, coupling, second_root)
@@ -368,6 +365,8 @@ def _factor_pairs(x, y, b, pivot_tol: float, slots):
     magnitude = np.abs(b)
     keep = (x > pivot_tol) | (magnitude > pivot_tol)
     least = _least_pivots(magnitude, y, pivot_tol)
+    if np.any(least - x > pivot_tol):
+        least = _refine_least_pivots(least, magnitude, y, pivot_tol, x)
     first = np.maximum(x, least)
     negative = x < -pivot_tol
     small = ~negative & keep & ((least - x > pivot_tol) | (first <= 0.0))
@@ -452,11 +451,14 @@ def hybrid_classical_pivots(n: int, p: float) -> HybridClassicalPivots:
 
     Requires p strictly inside the family's parameter interval; at the
     endpoints the Choi matrix is singular and the recurrences degenerate.
+    The closed form's denominators ``2p + (1-p)/n - mp`` vanish only at
+    p = -1/(n-1) (m = 1) and p = 1/(n(m-2)+1) (m >= 3), all outside the
+    interval.
 
     Raises:
         ValueError: p outside the closed parameter interval.
-        DegenerateChannelError: p at an interval endpoint or close enough
-            that a denominator vanishes.
+        DegenerateChannelError: p at an interval endpoint, or so close to one
+            that a closed-form pivot rounds to zero or below.
     """
     lo, hi = family_parameter_range(ChannelFamily.HYBRID_DEPOLARIZING_CLASSICAL, n)
     if not (lo <= p <= hi):
@@ -464,28 +466,27 @@ def hybrid_classical_pivots(n: int, p: float) -> HybridClassicalPivots:
             f"hybrid_depolarizing_classical: p={p!r} outside the valid range [{lo!r}, {hi!r}]"
             f" for n={n}"
         )
-    alpha = p + (1.0 - p) / n       # coupled diagonal entry
-    beta = (1.0 - p) / n            # uncoupled diagonal entry
-    gap = 2.0 * p + (1.0 - p) / n   # alpha minus the off-diagonal entry -p
-    if p <= lo or p >= hi or alpha * beta <= 0.0:
+    if p <= lo or p >= hi:
         raise DegenerateChannelError(
             f"closed-form extraction needs p strictly inside ({lo!r}, {hi!r});"
             f" got p={p!r} (use kraus_from_choi for boundary parameters)"
         )
+    alpha = p + (1.0 - p) / n       # coupled diagonal entry
+    beta = (1.0 - p) / n            # uncoupled diagonal entry
+    gap = 2.0 * p + (1.0 - p) / n   # alpha minus the off-diagonal entry -p
     denominators = gap - p * np.arange(1, n)
-    if np.min(np.abs(denominators)) <= 1e-14 * max(1.0, abs(gap)):
-        raise DegenerateChannelError(
-            f"closed-form pivot denominators vanish for p={p!r}, n={n}"
-            " (use kraus_from_choi)"
-        )
 
     pivots = np.empty(n)
     offdiags = np.empty(n - 1)
     pivots[0] = alpha
     offdiags[0] = -p
     pivots[1:] = gap * (1.0 - p / denominators)
-    if n > 2:
-        offdiags[1:] = gap * (-p / denominators[: n - 2])
+    offdiags[1:] = gap * (-p / denominators[: n - 2])
+    if not np.all(pivots > 0.0):
+        raise DegenerateChannelError(
+            f"closed-form pivots are not all positive for p={p!r}, n={n}"
+            " (use kraus_from_choi)"
+        )
 
     recurrence_pivots = np.empty(n)
     recurrence_offdiags = np.empty(n - 1)
@@ -500,7 +501,7 @@ def hybrid_classical_pivots(n: int, p: float) -> HybridClassicalPivots:
             recurrence_offdiags[m] = b_prev - correction
 
     worst = max(max_norm(pivots - recurrence_pivots), max_norm(offdiags - recurrence_offdiags))
-    if worst > CONSISTENCY_ATOL:
+    if not worst <= CONSISTENCY_ATOL:  # NaN fails too
         raise ArithmeticError(
             f"closed-form and recurrence pivot values disagree by {worst:.3e}"
         )

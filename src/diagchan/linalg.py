@@ -147,7 +147,8 @@ def as_density_matrix(a, trace_atol: float = 1e-12, eig_atol: float = 1e-10) -> 
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > trace_atol:
         raise ValueError(f"density matrix must have unit trace: got trace {tr!r}")
-    lo = float(hermitian_eigenvalues(m)[0])
+    # m is exactly Hermitian, so validating it again would change nothing.
+    lo = float(np.linalg.eigvalsh(m)[0])
     if lo < -eig_atol:
         raise ValueError(
             f"density matrix must be positive semidefinite: minimum eigenvalue {lo:.3e}"
@@ -210,6 +211,24 @@ def _least_pivots(magnitude: np.ndarray, later: np.ndarray, pivot_tol: float) ->
                      where=rest != 0.0)
 
 
+#: The square root of the smallest normal float: a smaller magnitude squares
+#: into the subnormal range, where too few bits are left to bound a pivot.
+_SQUARE_UNDERFLOW = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _refine_least_pivots(least: np.ndarray, magnitude: np.ndarray, later: np.ndarray,
+                         pivot_tol: float, pivot) -> np.ndarray:
+    """``least`` from :func:`_least_pivots`, with each bound that would refuse
+    ``pivot`` and whose square underflowed (a magnitude below
+    :data:`_SQUARE_UNDERFLOW` over a positive denominator) recomputed
+    dividing first. Only refusals change: every factor that the unrefined
+    bounds give stays as it was."""
+    rest = np.maximum(later, pivot_tol)
+    lost = (least - pivot > pivot_tol) & (magnitude < _SQUARE_UNDERFLOW) & (rest > 0.0)
+    least[lost] = magnitude[lost] / rest[lost] * magnitude[lost]
+    return least
+
+
 def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
     """The elimination behind :func:`psd_cholesky`, with an absolute tolerance.
 
@@ -233,7 +252,11 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
         magnitude = np.abs(tail)
         if d <= pivot_tol and magnitude.max() <= pivot_tol:
             continue
-        least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol).max())
+        later = a.diagonal()[k + 1:].real
+        bounds = _least_pivots(magnitude, later, pivot_tol)
+        least = float(bounds.max())
+        if least - d > pivot_tol:
+            least = float(_refine_least_pivots(bounds, magnitude, later, pivot_tol, d).max())
         pivot = max(d, least)
         if least - d > pivot_tol or pivot <= 0.0:
             raise _small_pivot(d, row_index, magnitude.max(), least)

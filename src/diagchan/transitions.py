@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import diagonal_block_slice
-from .channels import _blocks, _transition_matrix, channel_coefficients
+from .channels import _coefficient_blocks, _transition_matrix, channel_coefficients
 
 #: Negative entries above this threshold are rounding noise and clamped to 0.
 CLAMP_ATOL = 1e-12
@@ -38,7 +38,8 @@ def transition_direct(channel) -> np.ndarray:
     ``M = W^T diag(t) W``, the diagonal action of
     :func:`~diagchan.channels.apply_channel`. One n x n GEMM, O(n^2) memory.
     """
-    return _clamp_noise(_transition_matrix(_blocks(channel)).T)
+    n, _, _, t = _coefficient_blocks(channel)
+    return _clamp_noise(_transition_matrix(n, t).T)
 
 
 def transition_closed_form(t, n: int) -> np.ndarray:

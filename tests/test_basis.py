@@ -132,6 +132,17 @@ def test_basis_is_the_scaled_family_bit_for_bit(n):
     assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
+def test_basis_copies_a_given_stack_and_keeps_its_own_read_only():
+    # The basis keeps a read-only copy; the caller's stack stays writable.
+    assert not orthonormal_basis(3).elements.flags.writeable
+    stack = orthonormal_basis(3).elements.copy()
+    basis = HermitianBasis(3, stack)
+    assert not np.shares_memory(basis.elements, stack)
+    assert stack.flags.writeable and not basis.elements.flags.writeable
+    # A list of elements is stacked into the same bytes.
+    assert HermitianBasis(3, list(stack)).elements.tobytes() == basis.elements.tobytes()
+
+
 def rotated(elements, first, second, angle, both=True):
     """The stack with elements ``first`` and ``second`` mixed by a rotation;
     with ``both`` false only ``first`` is rotated, towards ``second``."""

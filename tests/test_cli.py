@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -133,6 +134,21 @@ def test_kraus_degenerate_boundary(capsys):
     code, _ = run(capsys, "kraus", "--n", "2", "--family", "hybrid_depolarizing_classical",
                   "--p", "1.0", "--method", "theorem4")
     assert code == 4
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, end", [(2, 1), (3, 0), (6, 0), (7, 0), (18, 0), (19, 0), (23, 0)])
+def test_theorem4_one_ulp_inside_an_end_exits_4(capsys, n, end):
+    # A closed-form pivot rounds to zero or below: degenerate, not an input
+    # error and never a set missing an operator.
+    p = float(np.nextafter(
+        family_parameter_range(ChannelFamily.HYBRID_DEPOLARIZING_CLASSICAL, n)[end], 0.0))
+    code = main(["kraus", "--n", str(n), "--family", "hybrid_depolarizing_classical",
+                 f"--p={p!r}", "--method", "theorem4"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: closed-form pivots are not all positive")
 
 
 def test_kraus_rejects_non_cp_vector(capsys, tmp_path):
@@ -364,6 +380,27 @@ def test_p0_stdout_is_byte_identical_to_the_pinned_output(capsys):
         code, out = run(capsys, *command.split())
         assert code == 0, command
         assert out == expected, command
+
+
+# Exit code and stdout sha256 of every subcommand at n = 2..6, --tol at its
+# default and 0: the four families at both ends and the midpoint, theorem4
+# on the hybrid family and 20 raw vectors (CP, not CP, rank-deficient with
+# -0.0 entries, not TP). Recorded by data/make_cli_digests.py, whose inputs
+# the file carries.
+CLI_DIGESTS = json.loads((Path(__file__).parent / "data" / "cli_digests.json").read_text())
+
+
+def test_cli_exit_codes_and_stdout_digests_match_the_pinned_contract(capsys, tmp_path,
+                                                                     monkeypatch):
+    for name, vector in CLI_DIGESTS["vectors"].items():
+        (tmp_path / name).write_text(json.dumps(vector))
+    for n, doc in CLI_DIGESTS["states"].items():
+        (tmp_path / f"state{n}.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert len(CLI_DIGESTS["runs"]) == 840
+    for command, (code, digest) in CLI_DIGESTS["runs"].items():
+        actual, out = run(capsys, *command.split())
+        assert (actual, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest), command
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

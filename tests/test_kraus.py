@@ -259,6 +259,30 @@ def test_closed_form_stack_equals_operator_loop(n):
         assert np.array_equal(ks._stacked(), loop._stacked())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_one_ulp_inside_either_end_is_degenerate_or_valid():
+    # One ulp inside an end, a closed-form pivot can round to zero or below
+    # (n = 2 at the upper end; n = 3, 6, 7, 18, 19, 23, ... at the lower).
+    # The Kraus set is built up to n = 16 only: it holds n^4 complex entries.
+    degenerate = []
+    for n in range(2, 65):
+        lo, hi = family_parameter_range(HYBRID, n)
+        for p in (float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, 0.0))):
+            try:
+                pivots = hybrid_classical_pivots(n, p).pivots
+                ks = hybrid_classical_kraus(n, p) if n <= 16 else None
+            except DegenerateChannelError:
+                degenerate.append(n)
+                continue
+            assert np.all(pivots > 0.0)
+            if ks is not None:
+                assert len(ks) == n * n
+                assert ks.completeness_residual() <= 1e-12
+                channel = DiagonalChannel.from_family(HYBRID, n, p)
+                assert reconstruction_residual(ks, channel) <= 1e-12
+    assert {2, 3, 6, 7, 18, 19, 23} <= set(degenerate)
+
+
 def test_closed_form_degenerate_at_boundary():
     with pytest.raises(DegenerateChannelError):
         hybrid_classical_kraus(2, 1.0)

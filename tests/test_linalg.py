@@ -311,6 +311,15 @@ def test_cholesky_reconstructs_hypothesis_psd(b):
     assert max_norm(r.conj().T @ r - h) <= 1e-10 * max(1.0, max_norm(h))
 
 
+def test_cholesky_bounds_pivots_whose_remainder_squares_underflow():
+    # Rank one with every entry 2.5e-158: the remainder's square, 6.5e-316,
+    # is subnormal and keeps too few bits to bound the pivot within tol.
+    b = np.full((4, 4), 5.63668893e-80 * (1 + 1j))
+    h = b.conj().T @ b
+    r = psd_cholesky(h)
+    assert max_norm(r.conj().T @ r - h) <= 1e-10 * max_norm(h)
+
+
 # ----------------------------------------------------------------------
 # sparse Gram
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from diagchan.channels import (
 )
 from diagchan.kraus import (
     KrausSet,
+    _factor_blocks,
     _factor_channel,
     kraus_from_channel,
     kraus_from_choi,
@@ -218,8 +219,20 @@ def test_channel_factor_equals_choi_reader_bit_for_bit(coeffs):
         assert ks.source_rows == via_choi.source_rows
         assert ks._stacked().tobytes() == via_choi._stacked().tobytes()
         # The O(n^2) residual from the factor rows, as verify reports it.
-        residual = _factor_channel(_choi_blocks(coeffs), tol).completeness_residual()
+        residual = _factor_channel(coeffs, tol).completeness_residual()
         assert abs(residual - ks.completeness_residual()) <= 1e-15
+
+
+def test_choi_reader_factors_pair_blocks_whose_squares_underflow():
+    # n = 3, t = 0, s = 1/3, a = -1/3: every pair block is [[1, 1], [1, 1]]/3,
+    # of rank one. Scaled by 2^-520 its entries are near 1e-157 and their
+    # squares subnormal; the power of two scales the factor exactly.
+    n = 3
+    coeffs = np.concatenate([[1.0], np.full(3, 1 / n), np.full(3, -1 / n), np.zeros(2)])
+    choi = choi_matrix(coeffs)
+    ks, scaled = kraus_from_choi(choi), kraus_from_choi(choi * 2.0 ** -520)
+    assert scaled.source_rows == ks.source_rows
+    assert np.array_equal(scaled._stacked() * 2.0 ** 260, ks._stacked())
 
 
 def test_choi_reader_errors_keep_their_order_and_text():
@@ -263,6 +276,13 @@ def test_choi_reader_leaves_its_input_alone():
     assert choi.tobytes() == before
     choi.setflags(write=False)
     assert kraus_from_choi(choi).source_rows == rows
+
+
+def test_factoring_leaves_the_block_record_alone():
+    blocks = _choi_blocks(DiagonalChannel.from_family("depolarizing", 4, 0.3))
+    before = [part.tobytes() for part in blocks[1:]]
+    _factor_blocks(blocks, DEFAULT_TOL * blocks.scale())
+    assert [part.tobytes() for part in blocks[1:]] == before
 
 
 @pytest.mark.parametrize("family", list(ChannelFamily))
