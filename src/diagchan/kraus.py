@@ -38,7 +38,6 @@ from .linalg import (
     _least_pivots,
     _negative_pivot,
     _psd_cholesky,
-    _refine_least_pivots,
     _small_pivot,
     as_complex_matrix,
     dagger,
@@ -66,8 +65,13 @@ class KrausSet:
     ``source_rows`` records, for each operator, the index of the triangular
     factor row it came from; rows that were entirely zero produce no
     operator, so rank-deficient channels carry fewer than n^2 operators.
-    The operators are held as one read-only (count, n, n) complex array, and
-    ``operators`` are views of it.
+    The operators are held as one read-only (n, count, n) complex array x
+    with ``x[:, k, :]`` the k-th operator, the layout in which both products
+    read them: ``x.reshape(n, -1)`` is the n x (count n) matrix whose column
+    blocks are the operators and ``x.reshape(-1, n)`` stacks their rows.
+    ``operators`` are views of x, so they are not contiguous. The
+    constructor copies the operators it is given into x; the factor routes
+    build x themselves and hand it over without a copy.
     """
 
     dim: int
@@ -87,10 +91,22 @@ class KrausSet:
         stack = _operator_stack(self.operators, n)
         if not np.all(np.isfinite(stack)):
             raise ValueError("matrix entries must be finite")
+        self._hold(stack, tuple(int(i) for i in self.source_rows))
+
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray, source_rows: tuple[int, ...]) -> KrausSet:
+        """The set holding ``stack``, a finite (n, count, n) complex array that
+        no one else writes to, as it is: no copy and no checks."""
+        ks = object.__new__(cls)
+        object.__setattr__(ks, "dim", stack.shape[0])
+        ks._hold(stack, source_rows)
+        return ks
+
+    def _hold(self, stack: np.ndarray, source_rows: tuple[int, ...]) -> None:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "operators", tuple(stack))
-        object.__setattr__(self, "source_rows", tuple(int(i) for i in self.source_rows))
+        object.__setattr__(self, "operators", tuple(stack.transpose(1, 0, 2)))
+        object.__setattr__(self, "source_rows", source_rows)
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -99,37 +115,39 @@ class KrausSet:
         return iter(self.operators)
 
     def _stacked(self) -> np.ndarray:
-        """The operators as one (count, n, n) array; (0, n, n) for an empty set."""
-        return self._stack
+        """The operators as a (count, n, n) view; (0, n, n) for an empty set."""
+        return self._stack.transpose(1, 0, 2)
 
     def apply(self, a) -> np.ndarray:
-        """``sum_i K_i^* a K_i``: the batched products ``a K_i``, then one GEMM
-        of the stacked ``K_i^*`` against them."""
+        """``sum_i K_i^* a K_i`` as two GEMMs on views of the stack: ``a X``
+        with X the n x (count n) matrix of the operators side by side, then
+        the rows of every ``K_i^*`` against the rows of every ``a K_i``."""
         m = as_complex_matrix(a)
         n = self.dim
         if m.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-        stack = self._stack
-        return stack.conj().reshape(-1, n).T @ (m @ stack).reshape(-1, n)
+        x = self._stack
+        return x.reshape(-1, n).conj().T @ (m @ x.reshape(n, -1)).reshape(-1, n)
 
     def completeness_residual(self) -> float:
         """``max_norm(sum_i K_i K_i^* - I)``; zero for a trace-preserving set.
 
         The sum is one GEMM ``X X^*`` of the n x (count n) matrix X whose
-        column blocks are the operators.
+        column blocks are the operators, a view of the stack.
         """
-        x = self._stack.transpose(1, 0, 2).reshape(self.dim, -1)
+        x = self._stack.reshape(self.dim, -1)
         return max_norm(x @ x.conj().T - np.eye(self.dim))
 
 
 def _operator_stack(operators, n: int) -> np.ndarray:
-    """The operators as a fresh (count, n, n) complex array; the error names
-    the first operator that is not an n x n matrix."""
+    """The operators as a fresh (n, count, n) complex array, converted as
+    ``np.array`` would convert them; the error names the first operator that
+    is not an n x n matrix."""
     if not len(operators):
-        return np.zeros((0, n, n), dtype=np.complex128)
+        return np.zeros((n, 0, n), dtype=np.complex128)
     try:
-        stack = np.array(operators, dtype=np.complex128)
-        if stack.shape[1:] == (n, n):
+        stack = np.stack(operators, axis=1, dtype=np.complex128, casting="unsafe")
+        if stack.shape == (n, len(operators), n):
             return stack
     except ValueError:  # operators of different shapes
         pass
@@ -199,8 +217,8 @@ def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
     ``max_norm(C)`` is the largest of ``|M|``, ``|(s+a)/2|`` and
     ``|(s-a)/2|``. Operators, ``source_rows`` and errors are bit for bit
     those of ``kraus_from_choi(choi_matrix(channel), tol)``. Reading the
-    blocks costs O(n^2) and factoring them O(n^3); only the (rank, n, n)
-    operator stack is O(n^4).
+    blocks costs O(n^2) and factoring them O(n^3); only the operator stack,
+    one (n, rank, n) array that the set holds without a copy, is O(n^4).
 
     Raises:
         NotPositiveSemidefiniteError: as :func:`kraus_from_choi`.
@@ -297,25 +315,34 @@ class _BlockFactor(NamedTuple):
         """Every nonzero row reshaped row-major into an operator, in row order:
         a row of D gives a diagonal operator, a pair's first row ``root`` at
         (i, j) and ``coupling`` at (j, i), its second row ``second_root`` at
-        (j, i)."""
+        (j, i).
+
+        The rows are scattered straight into the set's (n, count, n) stack,
+        which the set takes over without a copy. The finiteness check reads
+        the O(n^2) block values, not the stack: a non-finite value is
+        nonzero, so its row is kept and scattered.
+        """
         n = self.n
+        if not all(np.isfinite(v).all()
+                   for v in (self.coupled, self.root, self.coupling, self.second_root)):
+            raise ValueError("matrix entries must be finite")
         slots = _choi_slots(n)
         kept = np.zeros(n * n, dtype=bool)
         kept[slots.coupled] = np.any(self.coupled != 0.0, axis=1)
         kept[slots.upper] = (self.root != 0.0) | (self.coupling != 0.0)
         kept[slots.lower] = self.second_root != 0.0
         position = np.cumsum(kept) - 1
-        stack = np.zeros((int(kept.sum()), n, n), dtype=np.complex128)
+        stack = np.zeros((n, int(kept.sum()), n), dtype=np.complex128)
         at = kept[slots.coupled]
         diagonal = np.arange(n)
-        stack[position[slots.coupled[at]][:, None], diagonal, diagonal] = self.coupled[at]
+        stack[diagonal, position[slots.coupled[at]][:, None], diagonal] = self.coupled[at]
         i, j = np.divmod(slots.upper, n)
         at = kept[slots.upper]
-        stack[position[slots.upper[at]], i[at], j[at]] = self.root[at]
-        stack[position[slots.upper[at]], j[at], i[at]] = self.coupling[at]
+        stack[i[at], position[slots.upper[at]], j[at]] = self.root[at]
+        stack[j[at], position[slots.upper[at]], i[at]] = self.coupling[at]
         at = kept[slots.lower]
-        stack[position[slots.lower[at]], j[at], i[at]] = self.second_root[at]
-        return KrausSet(n, stack, tuple(np.flatnonzero(kept)))
+        stack[j[at], position[slots.lower[at]], i[at]] = self.second_root[at]
+        return KrausSet._of_stack(stack, tuple(np.flatnonzero(kept).tolist()))
 
     def completeness_residual(self) -> float:
         """``max_norm(sum_i K_i K_i^* - I)`` of :meth:`kraus_set`, in O(n^2).
@@ -365,8 +392,6 @@ def _factor_pairs(x, y, b, pivot_tol: float, slots):
     magnitude = np.abs(b)
     keep = (x > pivot_tol) | (magnitude > pivot_tol)
     least = _least_pivots(magnitude, y, pivot_tol)
-    if np.any(least - x > pivot_tol):
-        least = _refine_least_pivots(least, magnitude, y, pivot_tol, x)
     first = np.maximum(x, least)
     negative = x < -pivot_tol
     small = ~negative & keep & ((least - x > pivot_tol) | (first <= 0.0))
@@ -402,7 +427,10 @@ def reconstruction_residual(ks: KrausSet, channel) -> float:
     channel(E_ij))``; by linearity a small residual certifies the Kraus set
     on every input. Block (i, j) of the Choi matrix is the image of E_ij,
     and the Kraus action's Choi matrix is ``V^* V`` with V stacking the
-    operators row-major, so the maximum is ``max_norm(V^* V - C)``.
+    operators row-major, so the maximum is ``max_norm(V^* V - C)``. V, the
+    (count, n^2) matrix of flattened operators, is one transient copy of the
+    set's (n, count, n) stack; the result is the same as from a stack held
+    operator by operator.
     """
     n, _ = channel_coefficients(channel)
     if n != ks.dim:

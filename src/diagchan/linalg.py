@@ -172,7 +172,7 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises:
         NotPositiveSemidefiniteError: a pivot falls below ``-tol * max_norm(h)``,
             or is too small by more than that for its row remainder, or is
-            zero under a nonzero remainder (whose square can underflow at
+            zero under a nonzero remainder (whose bound can underflow at
             ``tol = 0``).
     """
     a = as_hermitian(h)
@@ -189,7 +189,7 @@ def _negative_pivot(d: float, k: int, pivot_tol: float) -> NotPositiveSemidefini
 
 
 def _small_pivot(d: float, k: int, remainder: float, least: float) -> NotPositiveSemidefiniteError:
-    # A least pivot of 0 under a nonzero remainder is an underflowed square.
+    # A least pivot of 0 under a nonzero remainder is an underflowed bound.
     needs = f"{least:.6e}" if least > 0.0 else "a positive pivot"
     return NotPositiveSemidefiniteError(
         f"pivot {d:.6e} at index {k} is too small for its row remainder "
@@ -198,35 +198,20 @@ def _small_pivot(d: float, k: int, remainder: float, least: float) -> NotPositiv
 
 
 def _least_pivots(magnitude: np.ndarray, later: np.ndarray, pivot_tol: float) -> np.ndarray:
-    """``magnitude^2 / max(later, pivot_tol)`` entrywise: the smallest pivot a
-    positive semidefinite matrix allows for each remainder entry over its
-    later diagonal entry. A positive ``pivot_tol`` keeps every denominator
-    positive. Otherwise a zero entry imposes no bound (0, even over a zero
-    diagonal) and a nonzero entry over a zero diagonal an unmeetable one
-    (inf), both without dividing by zero."""
+    """``magnitude / max(later, pivot_tol) * magnitude`` entrywise: the
+    smallest pivot a positive semidefinite matrix allows for each remainder
+    entry over its later diagonal entry. Dividing first forms no square,
+    which would overflow for a magnitude above 1.3e154 and lose its bits
+    below 1.5e-154. A positive ``pivot_tol`` keeps every denominator positive.
+    Otherwise a zero entry imposes no bound (0, even over a zero diagonal)
+    and a nonzero entry over a zero diagonal an unmeetable one (inf), both
+    without dividing by zero."""
     rest = np.maximum(later, pivot_tol)
     if pivot_tol > 0.0:
-        return magnitude * magnitude / rest
-    return np.divide(magnitude * magnitude, rest, out=np.where(magnitude > 0.0, np.inf, 0.0),
-                     where=rest != 0.0)
-
-
-#: The square root of the smallest normal float: a smaller magnitude squares
-#: into the subnormal range, where too few bits are left to bound a pivot.
-_SQUARE_UNDERFLOW = float(np.sqrt(np.finfo(np.float64).tiny))
-
-
-def _refine_least_pivots(least: np.ndarray, magnitude: np.ndarray, later: np.ndarray,
-                         pivot_tol: float, pivot) -> np.ndarray:
-    """``least`` from :func:`_least_pivots`, with each bound that would refuse
-    ``pivot`` and whose square underflowed (a magnitude below
-    :data:`_SQUARE_UNDERFLOW` over a positive denominator) recomputed
-    dividing first. Only refusals change: every factor that the unrefined
-    bounds give stays as it was."""
-    rest = np.maximum(later, pivot_tol)
-    lost = (least - pivot > pivot_tol) & (magnitude < _SQUARE_UNDERFLOW) & (rest > 0.0)
-    least[lost] = magnitude[lost] / rest[lost] * magnitude[lost]
-    return least
+        return magnitude / rest * magnitude
+    ratio = np.divide(magnitude, rest, out=np.where(magnitude > 0.0, np.inf, 0.0),
+                      where=rest != 0.0)
+    return ratio * magnitude
 
 
 def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
@@ -236,8 +221,8 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
     ``len(index)`` rows, leaving any later rows of R zero. Errors name row k
     as ``index[k]``, so a block of a larger matrix reports the larger
     matrix's row. A kept row needs a positive pivot: one whose nonzero
-    remainder squares to zero by underflow (possible at ``pivot_tol = 0``)
-    fails as too small instead of dividing by a zero root.
+    remainder bounds it by zero through underflow (possible at
+    ``pivot_tol = 0``) fails as too small instead of dividing by a zero root.
     """
     r = np.zeros_like(a)
     for k, row_index in enumerate(index):
@@ -252,11 +237,7 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
         magnitude = np.abs(tail)
         if d <= pivot_tol and magnitude.max() <= pivot_tol:
             continue
-        later = a.diagonal()[k + 1:].real
-        bounds = _least_pivots(magnitude, later, pivot_tol)
-        least = float(bounds.max())
-        if least - d > pivot_tol:
-            least = float(_refine_least_pivots(bounds, magnitude, later, pivot_tol, d).max())
+        least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol).max())
         pivot = max(d, least)
         if least - d > pivot_tol or pivot <= 0.0:
             raise _small_pivot(d, row_index, magnitude.max(), least)

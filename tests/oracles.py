@@ -8,9 +8,11 @@ matrix, eigenvalue check or factorization and O(n^8) per Kraus residual,
 and serve only as oracles for the structured routes. The ``loop_``
 functions compute the transition matrices and the hybrid family's Kraus
 operators one entry, projector or operator at a time, as oracles for the
-batched routes. The ``gemm_`` functions are the basis check as it was
-before it summed over the nonzero entries, and its Gram product: one GEMM
-of the whole stack, O(n^6) for the basis.
+batched routes. ``transposed_copy_completeness_residual`` is the
+completeness GEMM on a transposed copy of the operators, as it was before
+the Kraus set held them side by side. The ``gemm_`` functions are the
+basis check as it was before it summed over the nonzero entries, and its
+Gram product: one GEMM of the whole stack, O(n^6) for the basis.
 """
 
 import json
@@ -60,8 +62,17 @@ def dense_is_trace_preserving(channel, tol: float) -> bool:
 
 def einsum_kraus_apply(ks, a) -> np.ndarray:
     """``sum_i K_i^* a K_i`` as one three-operand einsum."""
-    stack = np.stack(ks.operators)
+    stack = np.array(ks.operators, dtype=np.complex128).reshape(-1, ks.dim, ks.dim)
     return np.einsum("lba,bc,lcd->ad", stack.conj(), np.asarray(a, dtype=np.complex128), stack)
+
+
+def transposed_copy_completeness_residual(ks) -> float:
+    """``max_norm(sum_i K_i K_i^* - I)`` as one GEMM ``X X^*`` of a fresh
+    n x (count n) copy X of the operators side by side."""
+    n = ks.dim
+    x = np.array(ks.operators, dtype=np.complex128).reshape(-1, n, n)
+    x = x.transpose(1, 0, 2).reshape(n, -1)
+    return max_norm(x @ x.conj().T - np.eye(n))
 
 
 def unit_loop_residual(ks, channel) -> float:

@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from diagchan.channels import ChannelFamily, DiagonalChannel, family_parameter_range
 from diagchan.kraus import (
     DegenerateChannelError,
     KrausSet,
+    _factor_channel,
     hybrid_classical_kraus,
     hybrid_classical_pivots,
+    kraus_from_channel,
     kraus_from_choi,
     reconstruction_residual,
     reshape_row,
 )
 from diagchan.linalg import dagger, matrix_unit, max_norm
 
-from conftest import random_complex
-from oracles import loop_hybrid_classical_kraus
+from conftest import peak_bytes, random_complex
+from oracles import (
+    einsum_kraus_apply,
+    loop_hybrid_classical_kraus,
+    transposed_copy_completeness_residual,
+)
 
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -152,10 +160,13 @@ def test_kraus_set_validates_shapes():
 
 
 def test_kraus_set_is_one_read_only_stack():
-    ks = KrausSet(2, (np.eye(2), PAULI_Z), (0, 3))
-    stack = ks._stacked()
-    assert stack.shape == (2, 2, 2) and not stack.flags.writeable
-    assert all(np.shares_memory(op, stack) for op in ks.operators)
+    # Held side by side: operator k is x[:, k, :] of one (n, count, n) array.
+    ks = KrausSet(3, (np.eye(3), np.diag([1.0, -1.0, 1j])), (0, 4))
+    stack = ks._stack
+    assert stack.shape == (3, 2, 3) and not stack.flags.writeable
+    for k, op in enumerate(ks.operators):
+        assert np.array_equal(op, stack[:, k, :]) and np.shares_memory(op, stack)
+    assert np.array_equal(ks._stacked(), np.stack(ks.operators))
     with pytest.raises(ValueError, match="read-only"):
         ks.operators[0][0, 0] = 2.0
     for ops, rows, message in [
@@ -168,6 +179,54 @@ def test_kraus_set_is_one_read_only_stack():
     ]:
         with pytest.raises(ValueError, match=message):
             KrausSet(2, ops, rows)
+
+
+def test_kraus_set_copies_the_operators_it_is_given(rng):
+    want = np.stack([random_complex(rng, 3) for _ in range(4)])
+    ops, stacked = list(want.copy()), want.copy()
+    from_list = KrausSet(3, ops, tuple(range(4)))
+    from_stack = KrausSet(3, stacked, tuple(range(4)))
+    ops[0][0, 0] = ops[3][2, 1] = stacked[1, 1, 1] = 99.0
+    for ks in (from_list, from_stack):
+        assert np.array_equal(ks._stacked(), want)
+
+
+def test_factor_built_set_views_one_read_only_stack_it_built_alone():
+    n = 16
+    channel = DiagonalChannel.from_family(ChannelFamily.DEPOLARIZING, n, 0.3)
+    factor = _factor_channel(channel, 1e-10)
+    ks = factor.kraus_set()
+    stack = ks._stack
+    assert stack.shape == (n, n * n, n) and not stack.flags.writeable
+    assert all(np.shares_memory(op, stack) and not op.flags.writeable for op in ks.operators)
+    # One stack: no copy of it on construction, nor in the completeness GEMM
+    # beyond its one conjugate.
+    assert peak_bytes(factor.kraus_set) < 1.5 * stack.nbytes
+    assert peak_bytes(ks.completeness_residual) < 1.5 * stack.nbytes
+
+
+@st.composite
+def kraus_sets(draw):
+    """A set built by the constructor from random operators of norm about 1,
+    or by the factor of a family channel."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        count = draw(st.integers(0, n * n))
+        ops = tuple(random_complex(rng, n) / n for _ in range(count))
+        return KrausSet(n, ops, tuple(range(count)))
+    family = draw(st.sampled_from(list(ChannelFamily)))
+    lo, hi = family_parameter_range(family, n)
+    return kraus_from_channel(DiagonalChannel.from_family(family, n, draw(st.floats(lo, hi))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kraus_sets(), st.integers(0, 2**32 - 1))
+def test_products_on_the_stack_match_their_oracles(ks, seed):
+    # Same matrix, same GEMM: the residual is bit for bit the transposed copy's.
+    assert ks.completeness_residual() == transposed_copy_completeness_residual(ks)
+    a = random_complex(np.random.default_rng(seed), ks.dim)
+    assert max_norm(ks.apply(a) - einsum_kraus_apply(ks, a)) <= 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -320,6 +320,16 @@ def test_cholesky_bounds_pivots_whose_remainder_squares_underflow():
     assert max_norm(r.conj().T @ r - h) <= 1e-10 * max_norm(h)
 
 
+def test_cholesky_bounds_pivots_whose_remainder_squares_overflow():
+    # Rank one with every entry 2e160: the remainder's square overflows, so
+    # the bound must divide first. RuntimeWarnings fail the test.
+    h = np.full((4, 4), 2e160)
+    r = psd_cholesky(h)
+    assert_allclose(r[0], np.full(4, np.sqrt(2e160)))
+    assert np.all(r[1:] == 0.0)
+    assert max_norm(r.conj().T @ r - h) <= 1e-10 * max_norm(h)
+
+
 # ----------------------------------------------------------------------
 # sparse Gram
 # ----------------------------------------------------------------------

@@ -235,6 +235,19 @@ def test_choi_reader_factors_pair_blocks_whose_squares_underflow():
     assert np.array_equal(scaled._stacked() * 2.0 ** 260, ks._stacked())
 
 
+def test_both_routes_factor_pair_blocks_whose_squares_overflow():
+    # The same channel scaled by 2^520: its entries are near 1e156 and their
+    # squares overflow, which a divide-first pivot bound never forms.
+    n = 3
+    coeffs = np.concatenate([[1.0], np.full(3, 1 / n), np.full(3, -1 / n), np.zeros(2)])
+    ks = kraus_from_channel(coeffs)
+    for scaled in (kraus_from_choi(choi_matrix(coeffs) * 2.0 ** 520),
+                   kraus_from_channel(coeffs * 2.0 ** 520)):
+        assert scaled.source_rows == ks.source_rows
+        assert np.array_equal(scaled._stacked() * 2.0 ** -260, ks._stacked())
+    assert _factor_channel(coeffs * 2.0 ** 520, DEFAULT_TOL).completeness_residual() > 0.0
+
+
 def test_choi_reader_errors_keep_their_order_and_text():
     choi = choi_matrix(DiagonalChannel.from_family("depolarizing", 2, 0.5))
     # n = 2: slots 0 and 3 hold the coupled block, slots 1 and 2 the pair;
