@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _sparse_gram, as_complex_matrix, dagger, max_norm
+from .linalg import _identity_residual, _sparse_gram, as_complex_matrix, dagger, max_norm
 
 #: Absolute tolerance on the Gram matrix of a basis.
 ORTHONORMALITY_ATOL = 1e-12
@@ -33,28 +33,28 @@ def generalized_pauli(n: int) -> list[np.ndarray]:
     the symmetric matrix with 1 at (i, j) and (j, i); for each pair the
     antisymmetric matrix with -i at (i, j) and +i at (j, i); and for each
     m = 1..n-1 the diagonal matrix with m leading ones followed by -m.
-    For n = 2 this is exactly the Pauli family (identity, x, y, z).
+    For n = 2 this is exactly the Pauli family (identity, x, y, z). The
+    matrices are views of one (n^2, n, n) array.
     """
+    return list(_pauli_stack(n))
+
+
+def _pauli_stack(n: int) -> np.ndarray:
+    """The matrices of :func:`generalized_pauli` as one (n^2, n, n) array:
+    one allocation, where n^2 small ones would leave their freed memory
+    resident in the process."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    mats = [np.eye(n, dtype=np.complex128)]
+    stack = np.zeros((n * n, n, n), dtype=np.complex128)
+    np.fill_diagonal(stack[0], 1.0)
     pairs = pair_indices(n)
-    for i, j in pairs:
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[i, j] = 1.0
-        m[j, i] = 1.0
-        mats.append(m)
-    for i, j in pairs:
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[i, j] = -1.0j
-        m[j, i] = 1.0j
-        mats.append(m)
-    for m_ones in range(1, n):
-        d = np.zeros(n, dtype=np.complex128)
-        d[:m_ones] = 1.0
-        d[m_ones] = -float(m_ones)
-        mats.append(np.diag(d))
-    return mats
+    for (i, j), sym, anti in zip(pairs, stack[1:], stack[1 + len(pairs):]):
+        sym[i, j] = sym[j, i] = 1.0
+        anti[i, j], anti[j, i] = -1.0j, 1.0j
+    for m_ones, d in zip(range(1, n), stack[1 + 2 * len(pairs):]):
+        np.fill_diagonal(d[:m_ones, :m_ones], 1.0)
+        d[m_ones, m_ones] = -float(m_ones)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,46 +62,48 @@ class HermitianBasis:
     """Ordered orthonormal family of n^2 Hermitian matrices.
 
     ``elements`` is a read-only (n^2, n, n) complex array, a copy of the
-    stack given. Construction refuses, in this order: n < 2, a stack of any
+    stack given (:func:`orthonormal_basis` hands over the stack it built
+    instead). Construction refuses, in this order: n < 2, a stack of any
     other shape, a non-finite entry, an element that is not Hermitian within
     :data:`ORTHONORMALITY_ATOL`, and a Gram matrix farther than that from the
-    identity in any entry. Both checks read only the nonzero entries: the
-    Hermiticity drift compares each with its mirror, which gives the drift
-    of the whole stack, and the Gram matrix is summed over the pairs of
-    elements that share a nonzero position, in O(n^3) for bases whose
-    elements hold O(n) nonzeros, such as :func:`orthonormal_basis`. A basis
-    of dense elements, such as a real orthogonal mix of that one, takes n^6
-    products: far slower than one GEMM of the stack, in memory a fixed
-    multiple of the stack's.
+    identity in any entry. Both checks read the nonzero entries of one scan:
+    the Hermiticity drift compares each with its mirror, which gives the
+    drift of the whole stack, and :func:`~diagchan.linalg._sparse_gram` sums
+    the Gram matrix over the pairs of elements that share a nonzero
+    position, in O(n^3) for bases whose elements hold O(n) nonzeros, such
+    as :func:`orthonormal_basis`, and by one GEMM for dense elements.
     """
 
     dim: int
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.elements, dtype=np.complex128)
-        n = self.dim
+        self._hold(self.dim, np.array(self.elements, dtype=np.complex128))
+
+    def _hold(self, n: int, arr: np.ndarray) -> HermitianBasis:
+        """Take over ``arr``, a complex array that no one else writes to,
+        with the constructor's checks but without its copy. Returns the
+        basis."""
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
         if arr.shape != (n * n, n, n):
             raise ValueError(f"expected {(n * n, n, n)} element stack, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
-        k, i, j = np.unravel_index(np.flatnonzero(arr != 0), arr.shape)
-        drift = max_norm(arr[k, i, j] - arr[k, j, i].conj())
+        # Columns of the transposed flat stack are the elements, so its Gram
+        # entries are <e_p, e_q>. One scan lists the nonzero entries by
+        # position (i, j), then element: the row order that Gram reads.
+        i, j, k = np.unravel_index(np.flatnonzero(arr.transpose(1, 2, 0) != 0), (n, n, n * n))
+        values = arr[k, i, j]
+        drift = max_norm(values - arr[k, j, i].conj())
         if drift > ORTHONORMALITY_ATOL:
             raise ValueError(f"basis elements are not Hermitian: max drift {drift:.3e}")
-        # Columns of the transposed flat stack are the elements, so the Gram
-        # entries are <e_p, e_q>; an all-zero element has no diagonal entry
-        # and misses its 1 by 1.
-        p, q, gram = _sparse_gram(arr.reshape(n * n, n * n).T)
-        on_diagonal = p == q
-        gram[on_diagonal] -= 1.0
-        worst = max(max_norm(gram), 0.0 if on_diagonal.sum() == n * n else 1.0)
+        worst = _identity_residual(*_sparse_gram(i * n + j, k, values, n * n), n * n)
         if worst > ORTHONORMALITY_ATOL:
             raise ValueError("basis is not orthonormal under the Hilbert-Schmidt inner product")
         arr.setflags(write=False)
-        object.__setattr__(self, "elements", arr)
+        vars(self).update(dim=n, elements=arr)
+        return self
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -121,15 +123,15 @@ def orthonormal_basis(n: int) -> HermitianBasis:
     the m-th traceless diagonal matrix by 1/sqrt(m(m+1)). Results are
     cached per dimension and safe to share.
     """
-    elements = generalized_pauli(n)
+    elements = _pauli_stack(n)
     num_pairs = n * (n - 1) // 2
     scales = [1.0 / np.sqrt(n)]
     scales += [1.0 / np.sqrt(2.0)] * (2 * num_pairs)
     scales += [1.0 / np.sqrt(m * (m + 1.0)) for m in range(1, n)]
     for element, scale in zip(elements, scales):
         element *= scale
-    # The basis stacks the list in its own copy: no second stack is built.
-    return HermitianBasis(n, elements)
+    # The stack is built here alone, so the basis takes it without a copy.
+    return object.__new__(HermitianBasis)._hold(n, elements)
 
 
 def diagonal_block_slice(n: int) -> slice:

@@ -187,26 +187,27 @@ class _ChoiSlots(NamedTuple):
     lists the n slots i*n+i of the coupled block D, which is the strided
     view ``C[::n+1, ::n+1]``; ``upper`` and ``lower`` list the slots i*n+j
     and j*n+i of each pair i < j, in the order of ``basis.pair_indices``.
-    ``pair_entries`` is the (4, pairs) array of the positions in the
-    flattened C of each pair's 2 x 2 block: its entries (i*n+j, i*n+j),
-    (j*n+i, j*n+i), (i*n+j, j*n+i) and (j*n+i, i*n+j). D and the pair blocks
-    cover the diagonal; every entry off them is zero.
+    ``pattern`` lists the positions in the flattened C of D's entries,
+    row-major, then of the pairs' entries (i*n+j, i*n+j), (j*n+i, j*n+i),
+    (i*n+j, j*n+i) and (j*n+i, i*n+j), each group in pair order. D and the
+    pair blocks cover the diagonal; every entry off them is zero.
     """
 
     coupled: np.ndarray
     upper: np.ndarray
     lower: np.ndarray
-    pair_entries: np.ndarray
+    pattern: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _choi_slots(n: int) -> _ChoiSlots:
     rows, cols = np.triu_indices(n, 1)
     upper, lower = rows * n + cols, cols * n + rows
-    size = n * n
-    slots = _ChoiSlots(np.arange(n) * (n + 1), upper, lower,
-                       np.stack([upper, lower, upper, lower]) * size
-                       + np.stack([upper, lower, lower, upper]))
+    coupled, size = np.arange(n) * (n + 1), n * n
+    pairs = np.stack([upper, lower, upper, lower]) * size + np.stack([upper, lower, lower, upper])
+    slots = _ChoiSlots(coupled, upper, lower,
+                       np.concatenate([(coupled[:, None] * size + coupled).reshape(-1),
+                                       pairs.reshape(-1)]))
     for index in slots:
         index.setflags(write=False)
     return slots
@@ -259,6 +260,14 @@ class _ChoiBlocks(NamedTuple):
         """``max_norm(C)``: the largest magnitude in the blocks."""
         return max(max_norm(self.d), max_norm(self.x), max_norm(self.y), max_norm(self.b))
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(position, value)``: every entry of the blocks, at its position
+        ``_choi_slots(n).pattern`` in the flattened C. Every entry of C off
+        these positions is zero."""
+        # The conjugate turns +0.0 imaginary parts into -0.0; adding 0.0 restores them.
+        return _choi_slots(self.n).pattern, np.concatenate(
+            [self.d.reshape(-1), self.x, self.y, self.b, self.b.conj() + 0.0])
+
 
 def _choi_blocks(channel) -> _ChoiBlocks:
     """The Choi matrix's blocks from the coefficient blocks, in O(n^2) plus
@@ -286,13 +295,10 @@ def choi_matrix(channel) -> np.ndarray:
     entry is -0.0.
     """
     blocks = _choi_blocks(channel)
-    n = blocks.n
-    slots = _choi_slots(n)
-    c = np.zeros((n * n, n * n), dtype=np.complex128)
-    c[::n + 1, ::n + 1] = blocks.d
-    # The conjugate turns +0.0 imaginary parts into -0.0; adding 0.0 restores them.
-    c.reshape(-1)[slots.pair_entries] = blocks.x, blocks.y, blocks.b, blocks.b.conj() + 0.0
-    return c
+    position, value = blocks.entries()
+    c = np.zeros(blocks.n ** 4, dtype=np.complex128)
+    c[position] = value
+    return c.reshape(blocks.n ** 2, -1)
 
 
 def min_choi_eigenvalue(channel) -> float:

@@ -30,7 +30,6 @@ from .channels import (
 )
 from .kraus import (
     DegenerateChannelError,
-    _factor_channel,
     hybrid_classical_kraus,
     kraus_from_channel,
     reconstruction_residual,
@@ -229,28 +228,29 @@ def _cmd_kraus(ns):
 
 
 def _cmd_verify(ns):
-    # Everything here is O(n^2) memory: the factor is held by block and its
-    # completeness residual read from its rows, so there is no size limit.
+    # Everything here is O(n^2) memory: the Kraus set holds the O(n^2)
+    # nonzero entries of the block factor, and its completeness residual
+    # sorts them, so there is no size limit.
     _, coeffs, _ = _resolve_channel(ns)
     tp = is_trace_preserving(coeffs, ns.tol)
     # The CP check and the factor each read the Choi blocks from the
     # coefficients: O(n^2) and one n x n GEMM, against O(n^3) for either.
     min_eigenvalue = min_choi_eigenvalue(coeffs)
-    factor = None
+    kraus_set = None
     if min_eigenvalue >= -ns.tol:
         try:
-            factor = _factor_channel(coeffs, ns.tol)
+            kraus_set = kraus_from_channel(coeffs, ns.tol)
         except NotPositiveSemidefiniteError:
             # The factorization's pivot test is relative to max_norm(choi),
             # the eigenvalue test absolute: a channel can pass the one and
             # fail the other. Without a Kraus set it is reported not CP.
             pass
-    cp = factor is not None
+    cp = kraus_set is not None
     doc = {
         "cp": cp,
         "tp": tp,
         "min_choi_eigenvalue": min_eigenvalue,
-        "completeness_residual": factor.completeness_residual() if cp else None,
+        "completeness_residual": kraus_set.completeness_residual() if cp else None,
     }
     return doc, (EXIT_OK if (cp and tp) else EXIT_PROPERTY)
 

@@ -18,7 +18,7 @@ identically so the two routes can be compared entry by entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,16 +29,19 @@ from .channels import (
     _choi_blocks,
     _choi_slots,
     channel_coefficients,
-    choi_matrix,
     family_parameter_range,
 )
 from .linalg import (
     DEFAULT_TOL,
     HERMITIAN_ATOL,
+    _identity_residual,
     _least_pivots,
     _negative_pivot,
     _psd_cholesky,
+    _run_pairs,
     _small_pivot,
+    _sparse_gram,
+    _sum_by_key,
     as_complex_matrix,
     dagger,
     max_norm,
@@ -58,106 +61,128 @@ class DegenerateChannelError(ValueError):
     """
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KrausSet:
     """Ordered Kraus operators of an n-dimensional channel.
 
     ``source_rows`` records, for each operator, the index of the triangular
-    factor row it came from; rows that were entirely zero produce no
-    operator, so rank-deficient channels carry fewer than n^2 operators.
-    The operators are held as one read-only (n, count, n) complex array x
-    with ``x[:, k, :]`` the k-th operator, the layout in which both products
-    read them: ``x.reshape(n, -1)`` is the n x (count n) matrix whose column
-    blocks are the operators and ``x.reshape(-1, n)`` stacks their rows.
-    ``operators`` are views of x, so they are not contiguous. The
-    constructor copies the operators it is given into x; the factor routes
-    build x themselves and hand it over without a copy.
+    factor row it came from, strictly increasing in [0, n^2); rows that were
+    entirely zero produce no operator, so rank-deficient channels carry
+    fewer than n^2 operators. The set holds only the nonzero entries of its
+    operators, grouped by operator: the read-only arrays ``_position`` (the
+    entry's flat index row * n + column) and ``_value``, and ``_offsets``,
+    where operator k's entries start (``_offsets[len(self)]`` is their
+    count). The constructor copies them out of the operators it is given,
+    and the factor routes write their O(n^2) entries directly.
+    ``operators`` and iteration build read-only n x n arrays on access.
     """
 
     dim: int
-    operators: tuple[np.ndarray, ...]
     source_rows: tuple[int, ...]
-    _stack: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        n = self.dim
+    def __init__(self, dim: int, operators, source_rows):
+        n = dim
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
-        count = len(self.operators)
-        if count != len(self.source_rows):
+        count = len(operators)
+        if count != len(source_rows):
             raise ValueError("one source row index is required per operator")
         if count > n * n:
             raise ValueError(f"at most {n * n} operators allowed, got {count}")
-        stack = _operator_stack(self.operators, n)
-        if not np.all(np.isfinite(stack)):
+        for shape in map(np.shape, operators):
+            if len(shape) != 2:
+                raise ValueError(f"expected a 2-D matrix, got an array of rank {len(shape)}")
+            if shape != (n, n):
+                raise ValueError(f"operators must be {n}x{n}, got shape {shape}")
+        try:
+            flat = np.array(operators, dtype=np.complex128).reshape(count, n * n)
+        except ValueError:
+            raise ValueError(f"operators must be {n}x{n} complex matrices") from None
+        if not np.all(np.isfinite(flat)):
             raise ValueError("matrix entries must be finite")
-        self._hold(stack, tuple(int(i) for i in self.source_rows))
+        rows = tuple(int(i) for i in source_rows)
+        outside = [i for i in rows if not 0 <= i < n * n]
+        if outside:
+            raise ValueError(f"source rows must lie in [0, {n * n}), got {outside[0]}")
+        if any(later <= earlier for earlier, later in zip(rows, rows[1:])):
+            raise ValueError("source rows must be strictly increasing")
+        operator, position = np.nonzero(flat)
+        self._hold(n, rows, operator.searchsorted(np.arange(count + 1)), position,
+                   flat[operator, position])
 
-    @classmethod
-    def _of_stack(cls, stack: np.ndarray, source_rows: tuple[int, ...]) -> KrausSet:
-        """The set holding ``stack``, a finite (n, count, n) complex array that
-        no one else writes to, as it is: no copy and no checks."""
-        ks = object.__new__(cls)
-        object.__setattr__(ks, "dim", stack.shape[0])
-        ks._hold(stack, source_rows)
-        return ks
-
-    def _hold(self, stack: np.ndarray, source_rows: tuple[int, ...]) -> None:
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "operators", tuple(stack.transpose(1, 0, 2)))
-        object.__setattr__(self, "source_rows", source_rows)
+    def _hold(self, n, source_rows, *entries) -> KrausSet:
+        """Take over ``entries``, the arrays (offsets, position, value) of
+        finite nonzero values grouped by operator, that no one else writes
+        to: no copy and no checks. Returns the set."""
+        for array in entries:
+            array.setflags(write=False)
+        vars(self).update(zip(("dim", "source_rows", "_offsets", "_position", "_value"),
+                              (n, source_rows, *entries)))
+        return self
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return len(self.source_rows)
 
     def __iter__(self):
-        return iter(self.operators)
+        for lo, hi in zip(self._offsets[:-1], self._offsets[1:]):
+            op = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            op.reshape(-1)[self._position[lo:hi]] = self._value[lo:hi]
+            op.setflags(write=False)
+            yield op
 
-    def _stacked(self) -> np.ndarray:
-        """The operators as a (count, n, n) view; (0, n, n) for an empty set."""
-        return self._stack.transpose(1, 0, 2)
+    @property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        """The operators as read-only n x n arrays, built on each access."""
+        return tuple(self)
 
     def apply(self, a) -> np.ndarray:
-        """``sum_i K_i^* a K_i`` as two GEMMs on views of the stack: ``a X``
-        with X the n x (count n) matrix of the operators side by side, then
-        the rows of every ``K_i^*`` against the rows of every ``a K_i``."""
+        """``sum_i K_i^* a K_i`` from the held entries.
+
+        How an operator is summed is fixed by its count of nonzeros, with the
+        rule of :func:`~diagchan.linalg._sparse_gram` on the rows of V: an
+        operator with more than n is dense. Every pair of entries (r1, c1),
+        (r2, c2) of a sparse operator adds ``conj(v1) a[r1, r2] v2`` at
+        (c1, c2), one gather and a scatter-add (``bincount``) of at most n
+        products per entry. The dense operators are written into a transient
+        stack and go through two GEMMs: ``a [K_1 ... K_k]``, then the rows of
+        every ``K_i^*`` against those of every ``a K_i``. Nothing is kept
+        between calls.
+        """
         m = as_complex_matrix(a)
         n = self.dim
         if m.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-        x = self._stack
-        return x.reshape(-1, n).conj().T @ (m @ x.reshape(n, -1)).reshape(-1, n)
+        counts = np.diff(self._offsets)
+        dense = counts > n
+        sparse = np.repeat(~dense, counts)
+        row, column = np.divmod(self._position[sparse], n)
+        value, small = self._value[sparse], counts[~dense]
+        left, right = _run_pairs(np.arange(value.size), np.repeat(np.cumsum(small) - small, small),
+                                 np.repeat(small, small))
+        terms = value[left].conj() * m[row[left], row[right]] * value[right]
+        at = column[left] * n + column[right]
+        out = np.bincount(at, terms.real, n * n) + 1j * np.bincount(at, terms.imag, n * n)
+        stack = np.zeros((dense.sum(), n, n), dtype=np.complex128)
+        stack.reshape(-1)[np.repeat(np.arange(len(stack)) * n * n, counts[dense])
+                          + self._position[~sparse]] = self._value[~sparse]
+        # The operators side by side, [K_1 ... K_k]: one GEMM gives every a K_i.
+        x = stack.transpose(1, 0, 2).reshape(n, -1)
+        return out.reshape(n, n) + x.reshape(-1, n).conj().T @ (m @ x).reshape(-1, n)
 
     def completeness_residual(self) -> float:
         """``max_norm(sum_i K_i K_i^* - I)``; zero for a trace-preserving set.
 
-        The sum is one GEMM ``X X^*`` of the n x (count n) matrix X whose
-        column blocks are the operators, a view of the stack.
+        The sum is the conjugate of the Gram matrix of the rows of the
+        n x (count n) matrix whose column blocks are the operators, from
+        :func:`~diagchan.linalg._sparse_gram` over the entries keyed by
+        (operator, column). On a factor-built set every key holds at most
+        one entry, so the cost is that of sorting the entries.
         """
-        x = self._stack.reshape(self.dim, -1)
-        return max_norm(x @ x.conj().T - np.eye(self.dim))
-
-
-def _operator_stack(operators, n: int) -> np.ndarray:
-    """The operators as a fresh (n, count, n) complex array, converted as
-    ``np.array`` would convert them; the error names the first operator that
-    is not an n x n matrix."""
-    if not len(operators):
-        return np.zeros((n, 0, n), dtype=np.complex128)
-    try:
-        stack = np.stack(operators, axis=1, dtype=np.complex128, casting="unsafe")
-        if stack.shape == (n, len(operators), n):
-            return stack
-    except ValueError:  # operators of different shapes
-        pass
-    for k in operators:
-        shape = np.shape(k)
-        if len(shape) != 2:
-            raise ValueError(f"expected a 2-D matrix, got an array of rank {len(shape)}")
-        if shape != (n, n):
-            raise ValueError(f"operators must be {n}x{n}, got shape {shape}")
-    raise ValueError(f"operators must be {n}x{n} complex matrices")
+        n = self.dim
+        row, column = np.divmod(self._position, n)
+        key = np.repeat(np.arange(len(self)), np.diff(self._offsets)) * n + column
+        order = np.argsort(key, kind="stable")
+        return _identity_residual(*_sparse_gram(key[order], row[order], self._value[order], n), n)
 
 
 def reshape_row(kappa, n: int) -> np.ndarray:
@@ -217,13 +242,14 @@ def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
     ``max_norm(C)`` is the largest of ``|M|``, ``|(s+a)/2|`` and
     ``|(s-a)/2|``. Operators, ``source_rows`` and errors are bit for bit
     those of ``kraus_from_choi(choi_matrix(channel), tol)``. Reading the
-    blocks costs O(n^2) and factoring them O(n^3); only the operator stack,
-    one (n, rank, n) array that the set holds without a copy, is O(n^4).
+    blocks costs O(n^2), factoring them O(n^3) and writing the set's
+    entries O(n^2).
 
     Raises:
         NotPositiveSemidefiniteError: as :func:`kraus_from_choi`.
     """
-    return _factor_channel(channel, tol).kraus_set()
+    blocks = _choi_blocks(channel)
+    return _factor_blocks(blocks, tol * blocks.scale()).kraus_set()
 
 
 #: Largest off-pattern magnitude for which the full Hermiticity pass is
@@ -263,8 +289,7 @@ def _read_choi(choi, tol: float) -> tuple[_ChoiBlocks, float]:
     b, mirror = c[upper, lower], c[lower, upper]
     # Row-major whatever the input's layout, so that its flattening is a view.
     magnitude = np.abs(c, order="C")
-    magnitude[::n + 1, ::n + 1] = 0.0
-    magnitude.reshape(-1)[slots.pair_entries] = 0.0
+    magnitude.reshape(-1)[slots.pattern] = 0.0
     stray = float(magnitude.max())
     if not (math.isfinite(stray) and all(np.isfinite(v).all() for v in (d, x, y, b, mirror))):
         raise ValueError("matrix entries must be finite")
@@ -290,13 +315,6 @@ def _read_choi(choi, tol: float) -> tuple[_ChoiBlocks, float]:
     return blocks, pivot_tol
 
 
-def _factor_channel(channel, tol: float) -> _BlockFactor:
-    """The factor of a channel's Choi matrix from :func:`_choi_blocks`, which
-    are the blocks :func:`_read_choi` reads from ``choi_matrix``."""
-    blocks = _choi_blocks(channel)
-    return _factor_blocks(blocks, tol * blocks.scale())
-
-
 class _BlockFactor(NamedTuple):
     """The upper triangular factor R of a diagonal channel's Choi matrix,
     held by block: ``coupled`` is the n x n factor of D on the slots i*n+i,
@@ -317,48 +335,28 @@ class _BlockFactor(NamedTuple):
         (i, j) and ``coupling`` at (j, i), its second row ``second_root`` at
         (j, i).
 
-        The rows are scattered straight into the set's (n, count, n) stack,
-        which the set takes over without a copy. The finiteness check reads
-        the O(n^2) block values, not the stack: a non-finite value is
-        nonzero, so its row is kept and scattered.
+        The set holds the O(n^2) nonzero entries of the rows, put in row
+        order by one stable sort; a row without one is dropped. An entry's
+        position in its operator is its column in R. The finiteness check
+        reads the block values: a non-finite value is nonzero, so its row
+        would be kept.
         """
         n = self.n
         if not all(np.isfinite(v).all()
                    for v in (self.coupled, self.root, self.coupling, self.second_root)):
             raise ValueError("matrix entries must be finite")
         slots = _choi_slots(n)
-        kept = np.zeros(n * n, dtype=bool)
-        kept[slots.coupled] = np.any(self.coupled != 0.0, axis=1)
-        kept[slots.upper] = (self.root != 0.0) | (self.coupling != 0.0)
-        kept[slots.lower] = self.second_root != 0.0
-        position = np.cumsum(kept) - 1
-        stack = np.zeros((n, int(kept.sum()), n), dtype=np.complex128)
-        at = kept[slots.coupled]
-        diagonal = np.arange(n)
-        stack[diagonal, position[slots.coupled[at]][:, None], diagonal] = self.coupled[at]
-        i, j = np.divmod(slots.upper, n)
-        at = kept[slots.upper]
-        stack[i[at], position[slots.upper[at]], j[at]] = self.root[at]
-        stack[j[at], position[slots.upper[at]], i[at]] = self.coupling[at]
-        at = kept[slots.lower]
-        stack[j[at], position[slots.lower[at]], i[at]] = self.second_root[at]
-        return KrausSet._of_stack(stack, tuple(np.flatnonzero(kept).tolist()))
-
-    def completeness_residual(self) -> float:
-        """``max_norm(sum_i K_i K_i^* - I)`` of :meth:`kraus_set`, in O(n^2).
-
-        Every operator's ``K K^*`` is diagonal: ``diag(|R_k|^2)`` for a row of
-        D, ``root^2 E_ii + |coupling|^2 E_jj`` and ``second_root^2 E_jj`` for
-        a pair's rows. The sum is therefore diagonal, with the column sums of
-        ``|R_D|^2`` plus each pair's terms at i and j.
-        """
-        n = self.n
-        i, j = np.divmod(_choi_slots(n).upper, n)
-        total = (self.coupled.conj() * self.coupled).real.sum(axis=0)
-        total += np.bincount(i, self.root * self.root, n)
-        total += np.bincount(j, (self.coupling.conj() * self.coupling).real
-                             + self.second_root * self.second_root, n)
-        return max_norm(total - 1.0)
+        d_row, d_column = np.nonzero(self.coupled)
+        source = np.concatenate([slots.coupled[d_row], slots.upper, slots.upper, slots.lower])
+        position = np.concatenate([slots.coupled[d_column], slots.upper, slots.lower,
+                                   slots.lower])
+        value = np.concatenate([self.coupled[d_row, d_column], self.root, self.coupling,
+                                self.second_root])
+        kept = np.flatnonzero(value)[np.argsort(source[value != 0], kind="stable")]
+        source_rows, counts = np.unique(source[kept], return_counts=True)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return object.__new__(KrausSet)._hold(n, tuple(source_rows.tolist()), offsets,
+                                              position[kept], value[kept])
 
 
 def _factor_blocks(blocks: _ChoiBlocks, pivot_tol: float) -> _BlockFactor:
@@ -426,17 +424,20 @@ def reconstruction_residual(ks: KrausSet, channel) -> float:
     Maximum over all matrix units E_ij of ``max_norm(ks.apply(E_ij) -
     channel(E_ij))``; by linearity a small residual certifies the Kraus set
     on every input. Block (i, j) of the Choi matrix is the image of E_ij,
-    and the Kraus action's Choi matrix is ``V^* V`` with V stacking the
-    operators row-major, so the maximum is ``max_norm(V^* V - C)``. V, the
-    (count, n^2) matrix of flattened operators, is one transient copy of the
-    set's (n, count, n) stack; the result is the same as from a stack held
-    operator by operator.
+    and the Kraus action's Choi matrix is the set's Gram ``G = V^* V``, so
+    the maximum is ``max_norm(G - C)``. G comes from the operators alone,
+    never from a factor: :func:`~diagchan.linalg._sparse_gram` sums it over
+    the set's entries on each call. It is compared with the channel's Choi
+    blocks over the union of both patterns; no n^2 x n^2 matrix is built.
     """
     n, _ = channel_coefficients(channel)
     if n != ks.dim:
         raise ValueError(f"dimension mismatch: Kraus set is {ks.dim}, channel is {n}")
-    v = ks._stacked().reshape(-1, n * n)
-    return max_norm(v.conj().T @ v - choi_matrix(channel))
+    operator = np.repeat(np.arange(len(ks)), np.diff(ks._offsets))
+    p, q, g = _sparse_gram(operator, ks._position, ks._value, n * n)
+    position, value = _choi_blocks(channel).entries()
+    key = np.concatenate([p * n * n + q, position])
+    return max_norm(_sum_by_key(key, np.concatenate([g, -value]))[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,51 +66,71 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def _sparse_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gram matrix ``x^* x`` of the columns of a 2-D array, by row support.
+def _sparse_gram(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                 m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram matrix ``x^* x`` of the m columns of a sparse matrix x, from
+    its nonzero entries ``x[rows[e], cols[e]] = values[e]`` in row order
+    (rows nondecreasing).
 
     Each row r adds ``conj(x[r, p]) x[r, q]`` to every pair (p, q) of the
-    columns in which it is nonzero (Gustavson's row-by-row product), so the
-    cost is one pass over x for its nonzero entries plus ``sum_r nnz(r)^2``
-    products and their sort. The m x m Gram of the m columns is never built.
-    The products go in batches of about ``x.size``, each merged into the
-    running sums, so memory stays within a fixed multiple of x and of the
-    pairs returned; a stack of k dense rows still takes k m^2 products, far
-    slower than one GEMM.
+    columns in which it is nonzero. How a row is summed is fixed by its
+    count of nonzeros: a row with ``nnz(r)^2 > m`` is dense, and all dense
+    rows go through one GEMM over the union of their columns, with a
+    single-precision GEMM of their 0/1 pattern, whose positive entries are
+    the pairs they share. Every other
+    row goes through Gustavson's row-by-row product (ACM TOMS 1978): at most
+    ``sqrt(m)`` products per entry, ``nnz sqrt(m)`` in all, held at once and
+    merged with the GEMM's sums by one stable sort. The m x m Gram is built
+    only over the dense rows' columns.
 
     Returns ``(p, q, g)``: every column pair that shares a nonzero row, once,
-    in lexicographic order, with its entry g of ``x^* x``, each summed row
-    by row. Every other entry of ``x^* x`` is zero.
+    in lexicographic order, with its entry g of ``x^* x``. Every other entry
+    of ``x^* x`` is zero.
     """
-    m = x.shape[1]
-    # Row-major, so each row's nonzeros are contiguous.
-    rows, cols = np.divmod(np.flatnonzero(x != 0), m)
-    values = x[rows, cols]
-    per_row = np.bincount(rows, minlength=x.shape[0])
-    row_start = (np.cumsum(per_row) - per_row)[rows]
-    # Nonzero e leads counts[e] products, one with each nonzero of its row.
-    counts = per_row[rows]
-    batch = (np.cumsum(counts) - counts) // max(x.size, 1)
-    bounds = np.append(np.flatnonzero(np.diff(batch, prepend=-1)), rows.size)
-    key = np.empty(0, dtype=np.intp)
-    gram = np.empty(0, dtype=np.complex128)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # The run of nonzero lo + e starts at ``run[e]`` and pairs it with
-        # each nonzero of its row in turn.
-        run = np.cumsum(counts[lo:hi]) - counts[lo:hi]
-        left = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        right = np.arange(left.size) + np.repeat(row_start[lo:hi] - run, counts[lo:hi])
-        # The running sums go first, so the stable sort keeps each pair's
-        # terms in row order.
-        key = np.concatenate([key, cols[left] * m + cols[right]])
-        gram = np.concatenate([gram, values[left].conj() * values[right]])
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        gram = np.add.reduceat(gram[order], starts)
-        key = key[starts]
-    p, q = np.divmod(key, m)
-    return p, q, gram
+    # Each entry's row starts at ``start`` and holds ``counts`` entries.
+    start = rows.searchsorted(rows)
+    counts = rows.searchsorted(rows, "right") - start
+    dense = counts * counts > m
+    left, right = _run_pairs(np.flatnonzero(~dense), start[~dense], counts[~dense])
+    keys = [cols[left] * m + cols[right]]
+    terms = [values[left].conj() * values[right]]
+    if dense.any():
+        union, column = np.unique(cols[dense], return_inverse=True)
+        row = np.unique(rows[dense], return_inverse=True)[1]
+        block = np.zeros((row[-1] + 1, union.size), dtype=np.complex128)
+        block[row, column] = values[dense]
+        shared = (block != 0).astype(np.float32)
+        pair = np.flatnonzero(shared.T @ shared)
+        keys.insert(0, (union[:, None] * m + union).reshape(-1)[pair])
+        terms.insert(0, (block.conj().T @ block).reshape(-1)[pair])
+    # The sort is stable, so each pair's sparse terms are summed in row order.
+    key, gram = _sum_by_key(np.concatenate(keys), np.concatenate(terms))
+    return *np.divmod(key, m), gram
+
+
+def _run_pairs(entries, start, counts) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, right)``: each of ``entries`` paired in turn with every entry
+    of its run, the ``counts[e]`` consecutive entries from ``start[e]``."""
+    # Entry e's pairs start at ``run[e]`` in the output.
+    run = np.cumsum(counts) - counts
+    return np.repeat(entries, counts), np.arange(counts.sum()) + np.repeat(start - run, counts)
+
+
+def _sum_by_key(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key once, in increasing order, with the sum of its
+    values, taken in their given order (one stable sort)."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(key != np.concatenate(([-1], key[:-1])))
+    return key[starts], np.add.reduceat(value[order], starts)
+
+
+def _identity_residual(p: np.ndarray, q: np.ndarray, gram: np.ndarray, m: int) -> float:
+    """``max_norm(G - I)`` of the Gram ``(p, q, gram)`` of m columns from
+    :func:`_sparse_gram`; a column without nonzeros has no diagonal entry
+    and misses its 1 by 1."""
+    on_diagonal = p == q
+    return max(max_norm(gram - on_diagonal), 0.0 if on_diagonal.sum() == m else 1.0)
 
 
 def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:

@@ -60,6 +60,10 @@ check 0 verify "${family[@]}"
 check 3 verify --coefficients "$dir/not_cp.json"
 check 3 verify --coefficients "$dir/scaled_cp.json"
 expect_stdout '"cp":true,"tp":false'
+# Kraus extraction and verify at sizes where an n^4-sized Kraus array
+# would dominate the run.
+check 0 kraus --n 24 --family depolarizing --p 0.3
+check 0 verify --n 64 --family depolarizing --p 0.3
 check 0 apply "${family[@]}" --input "$dir/state.json"
 check 0 transition "${family[@]}"
 check 2 choi --n 3 --family depolarizing --p 2

@@ -12,7 +12,10 @@ batched routes. ``transposed_copy_completeness_residual`` is the
 completeness GEMM on a transposed copy of the operators, as it was before
 the Kraus set held them side by side. The ``gemm_`` functions are the
 basis check as it was before it summed over the nonzero entries, and its
-Gram product: one GEMM of the whole stack, O(n^6) for the basis.
+Gram product: one GEMM of the whole stack, O(n^6) for the basis; and the
+Kraus products as they were before the set held only its nonzero entries:
+``apply`` as two GEMMs on the (n, count, n) stack and the reconstruction
+residual as ``max_norm(V^* V - C)``, one GEMM and one Choi matrix.
 """
 
 import json
@@ -60,19 +63,40 @@ def dense_is_trace_preserving(channel, tol: float) -> bool:
     return True
 
 
+def operator_stack(ks) -> np.ndarray:
+    """The operators of a Kraus set as a (count, n, n) array; (0, n, n) for
+    an empty set."""
+    return np.array(ks.operators, dtype=np.complex128).reshape(-1, ks.dim, ks.dim)
+
+
 def einsum_kraus_apply(ks, a) -> np.ndarray:
     """``sum_i K_i^* a K_i`` as one three-operand einsum."""
-    stack = np.array(ks.operators, dtype=np.complex128).reshape(-1, ks.dim, ks.dim)
+    stack = operator_stack(ks)
     return np.einsum("lba,bc,lcd->ad", stack.conj(), np.asarray(a, dtype=np.complex128), stack)
+
+
+def gemm_kraus_apply(ks, a) -> np.ndarray:
+    """``sum_i K_i^* a K_i`` as two GEMMs on the (n, count, n) stack x:
+    ``a X`` with X the n x (count n) matrix of the operators side by side,
+    then the rows of every ``K_i^*`` against the rows of every ``a K_i``."""
+    n = ks.dim
+    x = operator_stack(ks).transpose(1, 0, 2).copy()
+    return x.reshape(-1, n).conj().T @ (np.asarray(a) @ x.reshape(n, -1)).reshape(-1, n)
 
 
 def transposed_copy_completeness_residual(ks) -> float:
     """``max_norm(sum_i K_i K_i^* - I)`` as one GEMM ``X X^*`` of a fresh
     n x (count n) copy X of the operators side by side."""
     n = ks.dim
-    x = np.array(ks.operators, dtype=np.complex128).reshape(-1, n, n)
-    x = x.transpose(1, 0, 2).reshape(n, -1)
+    x = operator_stack(ks).transpose(1, 0, 2).reshape(n, -1)
     return max_norm(x @ x.conj().T - np.eye(n))
+
+
+def gemm_reconstruction_residual(ks, channel) -> float:
+    """``max_norm(V^* V - C)``: V stacks the flattened operators, so ``V^* V``
+    is the Choi matrix of the Kraus action, and C is the channel's."""
+    v = operator_stack(ks).reshape(len(ks), ks.dim * ks.dim)
+    return max_norm(v.conj().T @ v - choi_matrix(channel))
 
 
 def unit_loop_residual(ks, channel) -> float:

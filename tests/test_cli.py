@@ -10,6 +10,7 @@ from diagchan import cli
 from diagchan.channels import ChannelFamily, family_parameter_range
 from diagchan.cli import main, matrix_document, parse_matrix_document, render_json
 
+from conftest import peak_bytes
 from oracles import recursive_render_json
 
 
@@ -342,8 +343,15 @@ def test_dense_size_limit_refuses_before_allocating(capsys, monkeypatch, command
 
 
 def test_verify_has_no_size_limit(capsys, monkeypatch):
-    refuse_calls(monkeypatch, "choi_matrix", "kraus_from_channel")
-    code, out = run(capsys, "verify", "--n", "128", "--family", "depolarizing", "--p", "0.5")
+    # The Kraus set holds the O(n^2) nonzero entries of the block factor, so
+    # verify at n = 128 peaks at a fixed multiple of 16 n^2 bytes, against
+    # 4.3 GB for one n^4-sized complex array.
+    refuse_calls(monkeypatch, "choi_matrix")
+    n = 128
+    runs = []
+    flags = ["--n", str(n), "--family", "depolarizing", "--p", "0.5"]
+    assert peak_bytes(lambda: runs.append(run(capsys, "verify", *flags))) < 64 * 16 * n ** 2
+    code, out = runs[0]
     assert code == 0
     doc = json.loads(out)
     assert doc["cp"] is True and doc["tp"] is True

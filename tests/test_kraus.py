@@ -8,7 +8,6 @@ from diagchan.channels import ChannelFamily, DiagonalChannel, family_parameter_r
 from diagchan.kraus import (
     DegenerateChannelError,
     KrausSet,
-    _factor_channel,
     hybrid_classical_kraus,
     hybrid_classical_pivots,
     kraus_from_channel,
@@ -21,7 +20,10 @@ from diagchan.linalg import dagger, matrix_unit, max_norm
 from conftest import peak_bytes, random_complex
 from oracles import (
     einsum_kraus_apply,
+    gemm_kraus_apply,
+    gemm_reconstruction_residual,
     loop_hybrid_classical_kraus,
+    operator_stack,
     transposed_copy_completeness_residual,
 )
 
@@ -159,14 +161,26 @@ def test_kraus_set_validates_shapes():
         KrausSet(2, (np.eye(2),) * 5, tuple(range(5)))
 
 
-def test_kraus_set_is_one_read_only_stack():
-    # Held side by side: operator k is x[:, k, :] of one (n, count, n) array.
+def test_kraus_set_refuses_source_rows_outside_the_factor_or_out_of_order():
+    for ops, rows, message in [
+        ((np.eye(2),) * 2, (-5, -5), r"source rows must lie in \[0, 4\), got -5"),
+        ((np.eye(2),), (99,), r"source rows must lie in \[0, 4\), got 99"),
+        ((np.eye(2),) * 2, (1, 1), "source rows must be strictly increasing"),
+        ((np.eye(2),) * 2, (3, 0), "source rows must be strictly increasing"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            KrausSet(2, ops, rows)
+
+
+def test_kraus_set_builds_read_only_operators_from_its_entries():
+    # Only the nonzero entries are held; every access builds fresh arrays.
     ks = KrausSet(3, (np.eye(3), np.diag([1.0, -1.0, 1j])), (0, 4))
-    stack = ks._stack
-    assert stack.shape == (3, 2, 3) and not stack.flags.writeable
-    for k, op in enumerate(ks.operators):
-        assert np.array_equal(op, stack[:, k, :]) and np.shares_memory(op, stack)
-    assert np.array_equal(ks._stacked(), np.stack(ks.operators))
+    assert ks._value.size == 6 and not ks._value.flags.writeable
+    first, again = ks.operators, list(ks)
+    for op, same, want in zip(first, again, (np.eye(3), np.diag([1.0, -1.0, 1j]))):
+        assert op.shape == (3, 3) and op.dtype == np.complex128
+        assert np.array_equal(op, want) and np.array_equal(same, want)
+        assert not op.flags.writeable and not np.shares_memory(op, same)
     with pytest.raises(ValueError, match="read-only"):
         ks.operators[0][0, 0] = 2.0
     for ops, rows, message in [
@@ -188,45 +202,75 @@ def test_kraus_set_copies_the_operators_it_is_given(rng):
     from_stack = KrausSet(3, stacked, tuple(range(4)))
     ops[0][0, 0] = ops[3][2, 1] = stacked[1, 1, 1] = 99.0
     for ks in (from_list, from_stack):
-        assert np.array_equal(ks._stacked(), want)
+        assert np.array_equal(operator_stack(ks), want)
 
 
-def test_factor_built_set_views_one_read_only_stack_it_built_alone():
-    n = 16
+def test_kraus_routes_peak_at_a_multiple_of_the_product_bound():
+    # At n = 48 a dense (n, n^2, n) stack would take 16 n^4 bytes, 85 MB.
+    # The set holds O(n^2) entries; its Gram G sums about n^3 / 3 products
+    # of the coupled block's rows, and nothing else is larger.
+    n = 48
     channel = DiagonalChannel.from_family(ChannelFamily.DEPOLARIZING, n, 0.3)
-    factor = _factor_channel(channel, 1e-10)
-    ks = factor.kraus_set()
-    stack = ks._stack
-    assert stack.shape == (n, n * n, n) and not stack.flags.writeable
-    assert all(np.shares_memory(op, stack) and not op.flags.writeable for op in ks.operators)
-    # One stack: no copy of it on construction, nor in the completeness GEMM
-    # beyond its one conjugate.
-    assert peak_bytes(factor.kraus_set) < 1.5 * stack.nbytes
-    assert peak_bytes(ks.completeness_residual) < 1.5 * stack.nbytes
+    bound = 4 * 16 * n ** 3
+    assert peak_bytes(kraus_from_channel, channel) < bound
+    ks = kraus_from_channel(channel)
+    assert len(ks) == n * n and ks._value.size < 2 * n * n
+    for _ in range(2):  # apply keeps nothing between calls
+        assert peak_bytes(ks.apply, np.eye(n) / n) < bound
+    assert peak_bytes(ks.completeness_residual) < bound
+    assert peak_bytes(reconstruction_residual, kraus_from_channel(channel), channel) < bound
+
+
+def test_apply_on_one_dense_operator_peaks_at_a_multiple_of_its_product_bound(rng):
+    # Summed over pairs of entries, one dense operator would take n^4
+    # products, 268 MB at n = 64; its GEMMs take a few n x n arrays.
+    n = 64
+    u = np.linalg.qr(random_complex(rng, n))[0]
+    ks = KrausSet(n, (u,), (0,))
+    a = random_complex(rng, n)
+    assert peak_bytes(ks.apply, a) < 4 * 16 * n ** 3
+    assert max_norm(ks.apply(a) - u.conj().T @ a @ u) <= 1e-12
 
 
 @st.composite
 def kraus_sets(draw):
     """A set built by the constructor from random operators of norm about 1,
-    or by the factor of a family channel."""
+    or by the factor of a family channel, with a channel of its dimension
+    (the one that made it, for a factor-built set)."""
     n = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        count = draw(st.integers(0, n * n))
-        ops = tuple(random_complex(rng, n) / n for _ in range(count))
-        return KrausSet(n, ops, tuple(range(count)))
     family = draw(st.sampled_from(list(ChannelFamily)))
     lo, hi = family_parameter_range(family, n)
-    return kraus_from_channel(DiagonalChannel.from_family(family, n, draw(st.floats(lo, hi))))
+    channel = DiagonalChannel.from_family(family, n, draw(st.floats(lo, hi)))
+    if draw(st.booleans()):
+        # Each operator keeps a random share of its entries, so sets mix
+        # operators above and below n nonzeros.
+        count = draw(st.integers(0, n * n))
+        ops = tuple(random_complex(rng, n) / n * (rng.random((n, n)) < rng.random())
+                    for _ in range(count))
+        return KrausSet(n, ops, tuple(range(count))), channel
+    return kraus_from_channel(channel), channel
 
 
 @settings(max_examples=80, deadline=None)
 @given(kraus_sets(), st.integers(0, 2**32 - 1))
-def test_products_on_the_stack_match_their_oracles(ks, seed):
-    # Same matrix, same GEMM: the residual is bit for bit the transposed copy's.
-    assert ks.completeness_residual() == transposed_copy_completeness_residual(ks)
-    a = random_complex(np.random.default_rng(seed), ks.dim)
-    assert max_norm(ks.apply(a) - einsum_kraus_apply(ks, a)) <= 1e-12
+def test_products_on_the_stack_match_their_oracles(ks_and_channel, seed):
+    ks, channel = ks_and_channel
+    n = ks.dim
+    a = random_complex(np.random.default_rng(seed), n)
+    for oracle in (gemm_kraus_apply, einsum_kraus_apply):
+        assert max_norm(ks.apply(a) - oracle(ks, a)) <= 1e-12
+    # Each entry of sum K K^* and of V^* V sums at most count n products, in
+    # another order than the GEMM's. Either route rounds it by at most about
+    # count n u times the largest squared norm of a row of the operators side
+    # by side or of a column of V, and then subtracts I or C (|C| <= 1).
+    squares = np.abs(operator_stack(ks)) ** 2
+    scale = max(1.0, squares.sum(axis=(0, 2)).max(initial=0.0),
+                squares.sum(axis=0).max(initial=0.0))
+    bound = 2 * max(len(ks), 1) * n * (np.finfo(float).eps / 2) * scale
+    assert abs(ks.completeness_residual() - transposed_copy_completeness_residual(ks)) <= bound
+    assert abs(reconstruction_residual(ks, channel)
+               - gemm_reconstruction_residual(ks, channel)) <= bound
 
 
 # ----------------------------------------------------------------------
@@ -315,30 +359,28 @@ def test_closed_form_stack_equals_operator_loop(n):
     for p in interior_samples(n, 3):
         ks, loop = hybrid_classical_kraus(n, p), loop_hybrid_classical_kraus(n, p)
         assert ks.source_rows == loop.source_rows == tuple(range(n * n))
-        assert np.array_equal(ks._stacked(), loop._stacked())
+        assert np.array_equal(operator_stack(ks), operator_stack(loop))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_closed_form_one_ulp_inside_either_end_is_degenerate_or_valid():
     # One ulp inside an end, a closed-form pivot can round to zero or below
     # (n = 2 at the upper end; n = 3, 6, 7, 18, 19, 23, ... at the lower).
-    # The Kraus set is built up to n = 16 only: it holds n^4 complex entries.
     degenerate = []
     for n in range(2, 65):
         lo, hi = family_parameter_range(HYBRID, n)
         for p in (float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, 0.0))):
             try:
                 pivots = hybrid_classical_pivots(n, p).pivots
-                ks = hybrid_classical_kraus(n, p) if n <= 16 else None
+                ks = hybrid_classical_kraus(n, p)
             except DegenerateChannelError:
                 degenerate.append(n)
                 continue
             assert np.all(pivots > 0.0)
-            if ks is not None:
-                assert len(ks) == n * n
-                assert ks.completeness_residual() <= 1e-12
-                channel = DiagonalChannel.from_family(HYBRID, n, p)
-                assert reconstruction_residual(ks, channel) <= 1e-12
+            assert len(ks) == n * n
+            assert ks.completeness_residual() <= 1e-12
+            channel = DiagonalChannel.from_family(HYBRID, n, p)
+            assert reconstruction_residual(ks, channel) <= 1e-12
     assert {2, 3, 6, 7, 18, 19, 23} <= set(degenerate)
 
 

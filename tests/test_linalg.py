@@ -336,10 +336,12 @@ def test_cholesky_bounds_pivots_whose_remainder_squares_overflow():
 
 @st.composite
 def sparse_stacks(draw):
-    """Complex k x m stacks, k possibly 0, whose entries are nonzero with a
-    drawn density, with some rows zeroed and one row possibly duplicated."""
-    k, m = draw(st.integers(0, 10)), draw(st.integers(1, 10))
-    density = draw(st.floats(0.0, 1.0))
+    """Complex k x m stacks, k possibly 0, whose rows are nonzero with drawn
+    densities, so that rows with more than sqrt(m) nonzeros (the GEMM route)
+    sit next to sparser ones (the row-by-row route), with some rows zeroed
+    and one row possibly duplicated."""
+    k, m = draw(st.integers(0, 10)), draw(st.integers(1, 16))
+    density = draw(hnp.arrays(np.float64, (k, 1), elements=st.floats(0.0, 1.0)))
     re, im = draw(hnp.arrays(np.float64, (2, k, m), elements=st.floats(-10.0, 10.0)))
     uniform = draw(hnp.arrays(np.float64, (k, m), elements=st.floats(0.0, 1.0, exclude_max=True)))
     x = (re + 1j * im) * (uniform < density)
@@ -355,9 +357,13 @@ def sparse_stacks(draw):
 @example(np.zeros((0, 3), dtype=complex))
 @example(np.zeros((4, 3), dtype=complex))
 @example(np.array([[1.0, 2j, 0.0], [1.0, 2j, 0.0], [0.0, 0.0, 0.0]]))
+# Row 0 is dense (4^2 > 4 nonzeros), rows 1 and 3 are not; pair (0, 3) is
+# summed by both routes.
+@example(np.array([[1.0, 2j, 3.0, -4.0], [0.5, 0.0, 0.0, 1j], [0.0] * 4, [0.0, 0.0, 0.0, 2.0]]))
 def test_sparse_gram_matches_the_dense_gram(x):
-    p, q, gram = _sparse_gram(x)
+    rows, cols = np.nonzero(x)
     m = x.shape[1]
+    p, q, gram = _sparse_gram(rows, cols, x[rows, cols], m)
     assert np.all(np.diff(p * m + q) > 0)  # every pair once, in lexicographic order
     shared = (x != 0).T.astype(int) @ (x != 0).astype(int) > 0
     listed = np.zeros((m, m), dtype=bool)
