@@ -15,7 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _identity_residual, _sparse_gram, as_complex_matrix, dagger, max_norm
+from .linalg import (
+    _entry_stack,
+    _identity_residual,
+    _sparse_gram,
+    as_complex_matrix,
+    dagger,
+    max_norm,
+)
 
 #: Absolute tolerance on the Gram matrix of a basis.
 ORTHONORMALITY_ATOL = 1e-12
@@ -36,83 +43,117 @@ def generalized_pauli(n: int) -> list[np.ndarray]:
     For n = 2 this is exactly the Pauli family (identity, x, y, z). The
     matrices are views of one (n^2, n, n) array.
     """
-    return list(_pauli_stack(n))
+    return list(_entry_stack(np.arange(n * n), n, *_pauli_entries(n)))
 
 
-def _pauli_stack(n: int) -> np.ndarray:
-    """The matrices of :func:`generalized_pauli` as one (n^2, n, n) array:
-    one allocation, where n^2 small ones would leave their freed memory
-    resident in the process."""
+def _pauli_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of :func:`generalized_pauli`, about 2.5 n^2 of
+    them, as ``(offsets, position, value)``: element k's entries are
+    ``offsets[k]:offsets[k + 1]``, each at the flat index ``row * n + column``,
+    in increasing order within the element."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
-    stack = np.zeros((n * n, n, n), dtype=np.complex128)
-    np.fill_diagonal(stack[0], 1.0)
-    pairs = pair_indices(n)
-    for (i, j), sym, anti in zip(pairs, stack[1:], stack[1 + len(pairs):]):
-        sym[i, j] = sym[j, i] = 1.0
-        anti[i, j], anti[j, i] = -1.0j, 1.0j
-    for m_ones, d in zip(range(1, n), stack[1 + 2 * len(pairs):]):
-        np.fill_diagonal(d[:m_ones, :m_ones], 1.0)
-        d[m_ones, m_ones] = -float(m_ones)
-    return stack
+    i, j = np.triu_indices(n, 1)  # the pairs in lexicographic order
+    pairs = np.stack([i * n + j, j * n + i], axis=1).reshape(-1)
+    # The m-th diagonal element holds m ones and -m at diagonal slots 0..m.
+    sizes = np.arange(2, n + 1)
+    level = np.repeat(sizes - 1, sizes)
+    slot = np.arange(level.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    position = np.concatenate([np.arange(n) * (n + 1), pairs, pairs, slot * (n + 1)])
+    value = np.concatenate([np.ones(n + pairs.size), np.tile([-1j, 1j], i.size),
+                            np.where(slot < level, 1.0, -level)]).astype(np.complex128)
+    counts = np.concatenate([[n], np.full(2 * i.size, 2), sizes])
+    return np.concatenate([[0], np.cumsum(counts)]), position, value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HermitianBasis:
     """Ordered orthonormal family of n^2 Hermitian matrices.
 
-    ``elements`` is a read-only (n^2, n, n) complex array, a copy of the
-    stack given (:func:`orthonormal_basis` hands over the stack it built
-    instead). Construction refuses, in this order: n < 2, a stack of any
-    other shape, a non-finite entry, an element that is not Hermitian within
-    :data:`ORTHONORMALITY_ATOL`, and a Gram matrix farther than that from the
-    identity in any entry. Both checks read the nonzero entries of one scan:
-    the Hermiticity drift compares each with its mirror, which gives the
-    drift of the whole stack, and :func:`~diagchan.linalg._sparse_gram` sums
-    the Gram matrix over the pairs of elements that share a nonzero
-    position, in O(n^3) for bases whose elements hold O(n) nonzeros, such
-    as :func:`orthonormal_basis`, and by one GEMM for dense elements.
+    The basis holds only the nonzero entries of its elements, grouped by
+    element: the read-only arrays ``_position`` (the entry's flat index
+    row * n + column) and ``_value``, and ``_offsets``, where element k's
+    entries start (``_offsets[n^2]`` is their count). The constructor copies
+    them out of the (n^2, n, n) stack it is given; :func:`orthonormal_basis`
+    writes its O(n^2) entries directly. ``elements``, indexing and
+    iteration build read-only arrays on access, with +0.0 at every zero
+    entry.
+
+    Construction refuses, in this order: n < 2, a stack of any other shape,
+    a non-finite entry, an element that is not Hermitian within
+    :data:`ORTHONORMALITY_ATOL`, and a Gram matrix farther than that from
+    the identity in any entry. Both checks read the nonzero entries: the
+    Hermiticity drift compares each with its mirror, which gives the drift
+    of the whole stack, and :func:`~diagchan.linalg._sparse_gram` sums the
+    Gram matrix over the pairs of elements that share a nonzero position,
+    in O(n^3) for bases whose elements hold O(n) nonzeros, such as
+    :func:`orthonormal_basis`, and by one GEMM for dense elements.
     """
 
     dim: int
-    elements: np.ndarray
 
-    def __post_init__(self):
-        self._hold(self.dim, np.array(self.elements, dtype=np.complex128))
-
-    def _hold(self, n: int, arr: np.ndarray) -> HermitianBasis:
-        """Take over ``arr``, a complex array that no one else writes to,
-        with the constructor's checks but without its copy. Returns the
-        basis."""
+    def __init__(self, dim: int, elements):
+        n = dim
         if n < 2:
             raise ValueError(f"dimension must be at least 2, got {n}")
+        arr = np.asarray(elements, dtype=np.complex128)
         if arr.shape != (n * n, n, n):
             raise ValueError(f"expected {(n * n, n, n)} element stack, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
-        # Columns of the transposed flat stack are the elements, so its Gram
-        # entries are <e_p, e_q>. One scan lists the nonzero entries by
-        # position (i, j), then element: the row order that Gram reads.
-        i, j, k = np.unravel_index(np.flatnonzero(arr.transpose(1, 2, 0) != 0), (n, n, n * n))
-        values = arr[k, i, j]
-        drift = max_norm(values - arr[k, j, i].conj())
+        flat = arr.reshape(n * n, n * n)
+        element, position = np.nonzero(flat)
+        self._hold(n, element.searchsorted(np.arange(n * n + 1)), position,
+                   flat[element, position])
+
+    def _hold(self, n: int, offsets: np.ndarray, position: np.ndarray,
+              value: np.ndarray) -> HermitianBasis:
+        """Check and take over the entries (offsets, position, value) of n^2
+        elements, finite, nonzero and in increasing position within each
+        element, that no one else writes to. Returns the basis."""
+        element = np.repeat(np.arange(n * n), np.diff(offsets))
+        # Entries sorted by (element, position), so a mirror is found by search.
+        key = element * (n * n) + position
+        row, column = np.divmod(position, n)
+        mirror = key - position + column * n + row
+        at = np.minimum(key.searchsorted(mirror), key.size - 1)
+        drift = max_norm(value - np.where(key[at] == mirror, value[at], 0.0).conj())
         if drift > ORTHONORMALITY_ATOL:
             raise ValueError(f"basis elements are not Hermitian: max drift {drift:.3e}")
-        worst = _identity_residual(*_sparse_gram(i * n + j, k, values, n * n), n * n)
-        if worst > ORTHONORMALITY_ATOL:
+        # Columns of the n^2 x n^2 matrix of flattened elements are the
+        # elements, so its Gram entries are <e_p, e_q>; Gram reads its rows,
+        # the positions, in order.
+        order = np.argsort(position, kind="stable")
+        gram = _sparse_gram(position[order], element[order], value[order], n * n)
+        if _identity_residual(*gram, n * n) > ORTHONORMALITY_ATOL:
             raise ValueError("basis is not orthonormal under the Hilbert-Schmidt inner product")
-        arr.setflags(write=False)
-        vars(self).update(dim=n, elements=arr)
+        for array in (offsets, position, value):
+            array.setflags(write=False)
+        vars(self).update(dim=n, _offsets=offsets, _position=position, _value=value)
         return self
 
+    @property
+    def elements(self) -> np.ndarray:
+        """The elements as one read-only (n^2, n, n) array, built on each
+        access."""
+        return self[:]
+
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return self.dim * self.dim
 
     def __iter__(self):
-        return iter(self.elements)
+        for k in range(len(self)):
+            yield self[k]
 
     def __getitem__(self, idx) -> np.ndarray:
-        return self.elements[idx]
+        """The elements at ``idx``, an index of the element axis, built as a
+        read-only array of shape ``elements[idx].shape``."""
+        picked = np.arange(len(self))[idx]
+        n = self.dim
+        out = _entry_stack(picked.reshape(-1), n, self._offsets, self._position, self._value)
+        out = out.reshape(picked.shape + (n, n))
+        out.setflags(write=False)
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -121,17 +162,16 @@ def orthonormal_basis(n: int) -> HermitianBasis:
 
     Normalizations: identity by 1/sqrt(n), pair matrices by 1/sqrt(2), and
     the m-th traceless diagonal matrix by 1/sqrt(m(m+1)). Results are
-    cached per dimension and safe to share.
+    cached per dimension and safe to share. The basis is built from the
+    O(n^2) nonzero entries of :func:`generalized_pauli`, with no n^4 array.
     """
-    elements = _pauli_stack(n)
+    offsets, position, value = _pauli_entries(n)
     num_pairs = n * (n - 1) // 2
-    scales = [1.0 / np.sqrt(n)]
-    scales += [1.0 / np.sqrt(2.0)] * (2 * num_pairs)
-    scales += [1.0 / np.sqrt(m * (m + 1.0)) for m in range(1, n)]
-    for element, scale in zip(elements, scales):
-        element *= scale
-    # The stack is built here alone, so the basis takes it without a copy.
-    return object.__new__(HermitianBasis)._hold(n, elements)
+    levels = np.arange(1, n)
+    scales = np.concatenate([[1.0 / np.sqrt(n)], np.full(2 * num_pairs, 1.0 / np.sqrt(2.0)),
+                             1.0 / np.sqrt(levels * (levels + 1.0))])
+    value *= np.repeat(scales, np.diff(offsets))
+    return object.__new__(HermitianBasis)._hold(n, offsets, position, value)
 
 
 def diagonal_block_slice(n: int) -> slice:
@@ -150,7 +190,10 @@ def expand(a, basis: HermitianBasis) -> np.ndarray:
     n = basis.dim
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-    coeffs = np.einsum("aij,ij->a", basis.elements.conj(), m)
+    element = np.repeat(np.arange(len(basis)), np.diff(basis._offsets))
+    terms = basis._value.conj() * m.reshape(-1)[basis._position]
+    coeffs = (np.bincount(element, terms.real, len(basis))
+              + 1j * np.bincount(element, terms.imag, len(basis)))
     if max_norm(m - dagger(m)) <= 1e-12 and float(np.max(np.abs(coeffs.imag))) > 1e-12:
         raise ArithmeticError("expansion of a Hermitian matrix produced complex coefficients")
     return coeffs
@@ -161,4 +204,8 @@ def reconstruct(coeffs, basis: HermitianBasis) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     if c.size != len(basis):
         raise ValueError(f"expected {len(basis)} coefficients, got {c.size}")
-    return np.einsum("a,aij->ij", c, basis.elements)
+    n = basis.dim
+    terms = np.repeat(c, np.diff(basis._offsets)) * basis._value
+    out = (np.bincount(basis._position, terms.real, n * n)
+           + 1j * np.bincount(basis._position, terms.imag, n * n))
+    return out.reshape(n, n)

@@ -34,6 +34,7 @@ from .channels import (
 from .linalg import (
     DEFAULT_TOL,
     HERMITIAN_ATOL,
+    _entry_stack,
     _identity_residual,
     _least_pivots,
     _negative_pivot,
@@ -162,9 +163,7 @@ class KrausSet:
         terms = value[left].conj() * m[row[left], row[right]] * value[right]
         at = column[left] * n + column[right]
         out = np.bincount(at, terms.real, n * n) + 1j * np.bincount(at, terms.imag, n * n)
-        stack = np.zeros((dense.sum(), n, n), dtype=np.complex128)
-        stack.reshape(-1)[np.repeat(np.arange(len(stack)) * n * n, counts[dense])
-                          + self._position[~sparse]] = self._value[~sparse]
+        stack = _entry_stack(np.flatnonzero(dense), n, self._offsets, self._position, self._value)
         # The operators side by side, [K_1 ... K_k]: one GEMM gives every a K_i.
         x = stack.transpose(1, 0, 2).reshape(n, -1)
         return out.reshape(n, n) + x.reshape(-1, n).conj().T @ (m @ x).reshape(-1, n)

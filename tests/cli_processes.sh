@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs every diagchan subcommand as a process (python -m diagchan) at n = 3,
 # with RuntimeWarnings as errors, and checks each exit code; a run that
-# exits 0 must print to stdout and leave stderr empty, and a verify run
-# that exits 3 is checked for its verdict where it matters. Run from the
-# repository root with the package importable, e.g.
+# exits 0 must print to stdout and leave stderr empty, a verify run that
+# exits 3 is checked for its verdict where it matters, and a refused state
+# for the error it names. Run from the repository root with the package
+# importable, e.g.
 #
 #     PYTHONPATH=src bash tests/cli_processes.sh
 set -u
@@ -11,6 +12,13 @@ dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 echo '{"shape":[3,3],"entries":[[[0.5,0],[0,0],[0,0]],[[0,0],[0.25,0],[0,0]],[[0,0],[0,0],[0.25,0]]]}' \
     > "$dir/state.json"
+# The pure state of (0.6, 0.48, 0.64): unit trace exactly; its two zero
+# eigenvalues come out of LAPACK as rounding errors, one of them -3.5e-17.
+echo '{"shape":[3,3],"entries":[[[0.36,0],[0.288,0],[0.384,0]],[[0.288,0],[0.2304,0],[0.3072,0]],[[0.384,0],[0.3072,0],[0.4096,0]]]}' \
+    > "$dir/pure.json"
+# Eigenvalues 0.5, 0.501 and -1e-3.
+echo '{"shape":[3,3],"entries":[[[0.5,0],[0,0],[0,0]],[[0,0],[0.501,0],[0,0]],[[0,0],[0,0],[-0.001,0]]]}' \
+    > "$dir/indefinite.json"
 echo '[1, 1, 0, 0, 1, 0, 0, 0.1, 0.1]' > "$dir/not_cp.json"
 # A CP channel's coefficients scaled by 2^520: entries near 1e156, whose
 # squares overflow. CP, but not TP.
@@ -37,12 +45,12 @@ check() {
     fi
 }
 
-# The last run's stdout must contain the given text.
-expect_stdout() {
-    if grep -qF "$1" "$dir/out"; then
-        echo "ok: stdout has $1"
+# The last run's stdout (out) or stderr (err) must contain the given text.
+expect() {
+    if grep -qF "$2" "$dir/$1"; then
+        echo "ok: std$1 has $2"
     else
-        echo "FAIL: stdout lacks $1"
+        echo "FAIL: std$1 lacks $2"
         failed=1
         cat "$dir/out" "$dir/err"
     fi
@@ -59,12 +67,18 @@ check 4 kraus "${hybrid[@]}" --p=-0.19999999999999998 --method theorem4
 check 0 verify "${family[@]}"
 check 3 verify --coefficients "$dir/not_cp.json"
 check 3 verify --coefficients "$dir/scaled_cp.json"
-expect_stdout '"cp":true,"tp":false'
+expect out '"cp":true,"tp":false'
 # Kraus extraction and verify at sizes where an n^4-sized Kraus array
 # would dominate the run.
 check 0 kraus --n 24 --family depolarizing --p 0.3
 check 0 verify --n 64 --family depolarizing --p 0.3
 check 0 apply "${family[@]}" --input "$dir/state.json"
+# A pure state is accepted at the default --tol. At --tol 0 the smallest
+# eigenvalue decides, and its rounding error is negative.
+check 0 apply "${family[@]}" --input "$dir/pure.json"
+check 2 apply "${family[@]}" --input "$dir/pure.json" --tol 0
+check 2 apply "${family[@]}" --input "$dir/indefinite.json"
+expect err "semidefinite"
 check 0 transition "${family[@]}"
 check 2 choi --n 3 --family depolarizing --p 2
 exit "$failed"

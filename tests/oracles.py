@@ -15,7 +15,13 @@ basis check as it was before it summed over the nonzero entries, and its
 Gram product: one GEMM of the whole stack, O(n^6) for the basis; and the
 Kraus products as they were before the set held only its nonzero entries:
 ``apply`` as two GEMMs on the (n, count, n) stack and the reconstruction
-residual as ``max_norm(V^* V - C)``, one GEMM and one Choi matrix.
+residual as ``max_norm(V^* V - C)``, one GEMM and one Choi matrix. The
+``einsum_`` expansion and reconstruction, ``scaled_pauli_stack`` and
+``eigvalsh_density_matrix`` are the basis and the density-matrix check as
+they were before the basis held only its nonzero entries and before a
+Cholesky factorization certified density matrices: an einsum over the whole
+(n^2, n, n) stack, the family written into one such stack matrix by matrix
+and then scaled, and the smallest eigenvalue.
 """
 
 import json
@@ -29,6 +35,8 @@ from diagchan.kraus import KrausSet, hybrid_classical_pivots, reshape_row
 from diagchan.transitions import _clamp_noise
 from diagchan.linalg import (
     as_complex_matrix,
+    as_hermitian,
+    dagger,
     hermitian_eigenvalues,
     matrix_unit,
     max_norm,
@@ -41,6 +49,60 @@ def dense_apply(channel, a) -> np.ndarray:
     n, coeffs = channel_coefficients(channel)
     basis = orthonormal_basis(n)
     return reconstruct(coeffs * expand(a, basis), basis)
+
+
+def einsum_expand(a, basis) -> np.ndarray:
+    """``<e_k | a>`` for every element, one einsum over the whole stack, with
+    the library's checks and its complex-coefficient error."""
+    m = as_complex_matrix(a)
+    n = basis.dim
+    if m.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
+    coeffs = np.einsum("aij,ij->a", basis.elements.conj(), m)
+    if max_norm(m - dagger(m)) <= 1e-12 and float(np.max(np.abs(coeffs.imag))) > 1e-12:
+        raise ArithmeticError("expansion of a Hermitian matrix produced complex coefficients")
+    return coeffs
+
+
+def einsum_reconstruct(coeffs, basis) -> np.ndarray:
+    """``sum_k coeffs[k] e_k``, one einsum over the whole stack."""
+    c = np.asarray(coeffs, dtype=np.complex128).ravel()
+    return np.einsum("a,aij->ij", c, basis.elements)
+
+
+def scaled_pauli_stack(n: int) -> np.ndarray:
+    """The orthonormal basis as one (n^2, n, n) array: the generalized Pauli
+    family written matrix by matrix into a zero stack, each matrix then
+    scaled in place by its documented normalization."""
+    stack = np.zeros((n * n, n, n), dtype=np.complex128)
+    np.fill_diagonal(stack[0], 1.0)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), sym, anti in zip(pairs, stack[1:], stack[1 + len(pairs):]):
+        sym[i, j] = sym[j, i] = 1.0
+        anti[i, j], anti[j, i] = -1.0j, 1.0j
+    for m_ones, d in zip(range(1, n), stack[1 + 2 * len(pairs):]):
+        np.fill_diagonal(d[:m_ones, :m_ones], 1.0)
+        d[m_ones, m_ones] = -float(m_ones)
+    scales = [1.0 / np.sqrt(n)] + [1.0 / np.sqrt(2.0)] * (2 * len(pairs))
+    scales += [1.0 / np.sqrt(m * (m + 1.0)) for m in range(1, n)]
+    for element, scale in zip(stack, scales):
+        element *= scale
+    return stack
+
+
+def eigvalsh_density_matrix(a, trace_atol: float = 1e-12, eig_atol: float = 1e-10) -> np.ndarray:
+    """The density-matrix check with the smallest eigenvalue alone deciding
+    positive semidefiniteness, raising the library's errors."""
+    m = as_hermitian(a)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > trace_atol:
+        raise ValueError(f"density matrix must have unit trace: got trace {tr!r}")
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if lo < -eig_atol:
+        raise ValueError(
+            f"density matrix must be positive semidefinite: minimum eigenvalue {lo:.3e}"
+        )
+    return m
 
 
 def dense_choi(channel) -> np.ndarray:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from diagchan.basis import (
@@ -14,7 +17,7 @@ from diagchan.basis import (
 from diagchan.linalg import dagger, hs_inner, matrix_unit, max_norm
 
 from conftest import peak_bytes, random_complex
-from oracles import gemm_basis_check
+from oracles import einsum_expand, einsum_reconstruct, gemm_basis_check, scaled_pauli_stack
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -126,10 +129,41 @@ def documented_scales(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_basis_is_the_scaled_family_bit_for_bit(n):
-    want = np.stack(generalized_pauli(n)) * documented_scales(n)[:, None, None]
+    want = scaled_pauli_stack(n)
     got = orthonormal_basis(n).elements
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # signed zeros too
+    family = np.stack(generalized_pauli(n))
+    assert (family * documented_scales(n)[:, None, None]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_indexing_and_iteration_build_the_same_read_only_elements(n):
+    basis = orthonormal_basis(n)
+    stack = scaled_pauli_stack(n)
+    mask = np.arange(n * n) % 3 == 1
+    picks = [0, -1, n * n - 1, slice(None), slice(1, None, 2), slice(5, 2),
+             [2, 0, 2], np.array([[1, 0], [3, 2]]), mask, ...]
+    for idx in picks:
+        got = basis[idx]
+        assert got.shape == stack[idx].shape
+        assert got.tobytes() == stack[idx].tobytes()
+        assert not got.flags.writeable
+    for k, element in enumerate(basis):
+        assert element.tobytes() == stack[k].tobytes()
+        assert not element.flags.writeable
+    assert len(list(basis)) == len(basis) == n * n
+    # Each access builds a fresh array.
+    assert not np.shares_memory(basis.elements, basis.elements)
+    assert not np.shares_memory(basis[0], basis[0])
+    for idx in (n * n, -n * n - 1):
+        with pytest.raises(IndexError):
+            basis[idx]
+
+
+def test_cold_basis_holds_no_stack():
+    # The (n^2, n, n) stack alone takes 16 MB at n = 32.
+    assert peak_bytes(orthonormal_basis.__wrapped__, 32) < 4 * 2 ** 20
 
 
 def test_basis_copies_a_given_stack_and_keeps_its_own_read_only():
@@ -280,6 +314,44 @@ def test_round_trip_random_matrices(n, rng):
         m = random_complex(rng, n)
         back = reconstruct(expand(m, basis), basis)
         assert max_norm(back - m) <= 1e-12
+
+
+def rotated_basis(n):
+    """A basis through the public constructor, with two elements mixed."""
+    return HermitianBasis(n, rotated(scaled_pauli_stack(n), 1, n * n - 1, 0.3))
+
+
+@st.composite
+def matrices_and_bases(draw):
+    n = draw(st.integers(2, 8))
+    values = st.floats(-10.0, 10.0, allow_nan=False)
+    re, im = draw(hnp.arrays(np.float64, (2, n, n), elements=values))
+    m = re + 1j * im
+    if draw(st.booleans()):
+        m = (m + dagger(m)) / 2
+    return m, (orthonormal_basis(n) if draw(st.booleans()) else rotated_basis(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_and_bases())
+def test_expand_and_reconstruct_match_the_dense_einsum(case):
+    m, basis = case
+    coeffs = expand(m, basis)
+    assert max_norm(coeffs - einsum_expand(m, basis)) <= 1e-12
+    assert max_norm(reconstruct(coeffs, basis) - einsum_reconstruct(coeffs, basis)) <= 1e-12
+
+
+def test_expand_refuses_complex_coefficients_of_a_hermitian_matrix():
+    # An element Hermitian only within the tolerance gives a Hermitian
+    # matrix with large entries a complex coefficient.
+    stack = scaled_pauli_stack(3)
+    stack[1, 0, 1] += 5e-13
+    basis = HermitianBasis(3, stack)
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 1], m[1, 0] = 1e3j, -1e3j
+    for route in (expand, einsum_expand):
+        with pytest.raises(ArithmeticError, match="complex coefficients"):
+            route(m, basis)
 
 
 def test_expand_validates_shape():

@@ -23,7 +23,7 @@ from diagchan.linalg import (
 )
 
 from conftest import random_complex, random_hermitian, random_psd
-from oracles import gemm_gram
+from oracles import eigvalsh_density_matrix, gemm_gram
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -190,6 +190,65 @@ def test_as_density_matrix_rejects_wrong_trace():
 def test_as_density_matrix_rejects_indefinite():
     with pytest.raises(ValueError, match="semidefinite"):
         as_density_matrix(np.diag([1.5, -0.5]))
+
+
+def outcome(check, m, trace_atol, eig_atol):
+    """The bytes of the matrix ``check`` returns, or the message it raises."""
+    try:
+        return check(m, trace_atol=trace_atol, eig_atol=eig_atol).tobytes()
+    except ValueError as error:
+        return str(error)
+
+
+@st.composite
+def density_candidates(draw):
+    """(matrix, trace_atol, eig_atol): a unitary rotation of a spectrum with
+    unit sum whose smallest eigenvalue sits at -eig_atol (1 +- 10^-8 ... 10^-1)
+    or -eig_atol/2, or a pure state, or a positive spectrum; some are scaled
+    off unit trace."""
+    n = draw(st.integers(2, 40))
+    eig_atol = draw(st.sampled_from([1e-10, 1e-10, 1e-7, 1e-3, 0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = np.linalg.qr(random_complex(rng, n))[0]
+    kind = draw(st.sampled_from(["near", "near", "half", "pure", "positive"]))
+    if kind == "pure":
+        m = np.outer(q[:, 0], q[:, 0].conj())
+    else:
+        lowest = {"near": -eig_atol * (1.0 + draw(st.sampled_from([-1.0, 1.0]))
+                                       * 10.0 ** draw(st.floats(-8.0, -1.0))),
+                  "half": -eig_atol / 2.0,
+                  "positive": draw(st.floats(0.0, 1.0 / n))}[kind]
+        rest = rng.uniform(0.1, 1.0, n - 1)
+        spectrum = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+        m = (q * spectrum) @ q.conj().T
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1.0 + 1e-11, 1.0 - 1e-3]))
+    return m * scale, draw(st.sampled_from([1e-12, 1e-10])), eig_atol
+
+
+@settings(max_examples=300, deadline=None)
+@given(density_candidates())
+def test_density_check_matches_the_eigenvalue_verdict_and_message(case):
+    m, trace_atol, eig_atol = case
+    assert (outcome(as_density_matrix, m, trace_atol, eig_atol)
+            == outcome(eigvalsh_density_matrix, m, trace_atol, eig_atol))
+
+
+def test_certified_states_need_no_eigenvalues(monkeypatch, rng):
+    # A full-rank state and a pure state pass on the Cholesky factorization
+    # alone at a positive tolerance; at eig_atol = 0 the eigenvalues decide.
+    b = random_complex(rng, 24)
+    full = b @ dagger(b)
+    full /= np.trace(full).real
+    pure = np.outer(b[:, 0], b[:, 0].conj()) / np.vdot(b[:, 0], b[:, 0]).real
+
+    def no_eigenvalues(m):
+        raise AssertionError("the eigenvalues were computed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    for state in (full, pure):
+        assert as_density_matrix(state).tobytes() == as_hermitian(state).tobytes()
+    with pytest.raises(AssertionError, match="eigenvalues"):
+        as_density_matrix(full, eig_atol=0.0)
 
 
 # ----------------------------------------------------------------------
