@@ -54,28 +54,25 @@ _FAMILY_NAMES = [f.value for f in ChannelFamily]
 # Deterministic JSON rendering
 # ----------------------------------------------------------------------
 
-def _is_entry(pair) -> bool:
-    """Whether ``pair`` is a matrix entry ``[re, im]`` of two finite floats."""
-    return (type(pair) is list and len(pair) == 2
-            and type(pair[0]) is float and type(pair[1]) is float
-            and math.isfinite(pair[0]) and math.isfinite(pair[1]))
-
-
 def render_json(value) -> str:
     """Serialize a document with insertion-ordered keys and %.17g floats.
 
-    A document holds only dicts, lists, tuples, floats, ints, bools, None
-    and strings, dispatched on their exact type. A row of matrix entries is
-    rendered in one pass, so a large matrix document costs one call per row
-    instead of a chain of type checks per number.
+    A document holds only dicts, lists, tuples, floats, ints, bools, None,
+    strings and 2-D complex128 arrays, dispatched on their exact type. An
+    array is written as rows of ``[re, im]`` entries, one ``%`` per row on
+    the row's interleaved real and imaginary parts.
     """
     kind = type(value)
     if kind is float:
         if not math.isfinite(value):
             raise ValueError("non-finite number in output document")
         return format(value, ".17g")
-    if kind is list and value and all(map(_is_entry, value)):
-        return "[" + ",".join(["[%.17g,%.17g]" % (re, im) for re, im in value]) + "]"
+    if kind is np.ndarray and value.dtype == np.complex128 and value.ndim == 2:
+        if not np.isfinite(value).all():
+            raise ValueError("non-finite number in output document")
+        row = "[" + ",".join(["[%.17g,%.17g]"] * value.shape[1]) + "]"
+        pairs = np.ascontiguousarray(value).view(np.float64)
+        return "[" + ",".join([row % tuple(r) for r in pairs]) + "]"
     if kind is list or kind is tuple:
         return "[" + ",".join(map(render_json, value)) + "]"
     if kind is dict:
@@ -86,13 +83,11 @@ def render_json(value) -> str:
 
 
 def matrix_document(m) -> dict:
-    """Matrix as {"shape": [rows, cols], "entries": [[[re, im], ...], ...]}."""
+    """Matrix as {"shape": [rows, cols], "entries": m}, ``m`` as a complex128
+    array, which :func:`render_json` writes as [[[re, im], ...], ...]."""
     m = np.asarray(m, dtype=np.complex128)
     rows, cols = m.shape
-    return {
-        "shape": [int(rows), int(cols)],
-        "entries": np.stack([m.real, m.imag], axis=-1).tolist(),
-    }
+    return {"shape": [int(rows), int(cols)], "entries": m}
 
 
 def _is_json_real(x) -> bool:
@@ -153,6 +148,8 @@ def _resolve_channel(ns) -> tuple[int, np.ndarray, ChannelFamily | None]:
     declared_n = None
     if isinstance(data, dict):
         declared_n = data.get("n")
+        if declared_n is not None and not _is_json_real(declared_n):
+            raise ValueError(f'declared "n" must be a number, got {json.dumps(declared_n)}')
         data = data.get("coefficients")
         if data is None:
             raise ValueError('coefficient file object must carry a "coefficients" array')

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -101,7 +102,13 @@ class KrausSet:
             raise ValueError(f"operators must be {n}x{n} complex matrices") from None
         if not np.all(np.isfinite(flat)):
             raise ValueError("matrix entries must be finite")
-        rows = tuple(int(i) for i in source_rows)
+        rows = []
+        for i in source_rows:
+            try:
+                rows.append(index(i))
+            except TypeError:
+                raise ValueError(f"source rows must be integers, got {i!r}") from None
+        rows = tuple(rows)
         outside = [i for i in rows if not 0 <= i < n * n]
         if outside:
             raise ValueError(f"source rows must lie in [0, {n * n}), got {outside[0]}")

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Runs every diagchan subcommand as a process (python -m diagchan) at n = 3,
-# with RuntimeWarnings as errors, and checks each exit code; a run that
-# exits 0 must print to stdout and leave stderr empty, a verify run that
-# exits 3 is checked for its verdict where it matters, and a refused state
-# for the error it names. Run from the repository root with the package
-# importable, e.g.
+# and the dense commands at n = 32 and just past their size limit, with
+# RuntimeWarnings as errors, and checks each exit code; a run that exits 0
+# must write its document (to stdout, or to the file that ends its command
+# line after --output) and leave stderr empty, a verify run that exits 3 is
+# checked for its verdict where it matters, and a refused run for the error
+# it names. Run from the repository root with the package importable, e.g.
 #
 #     PYTHONPATH=src bash tests/cli_processes.sh
 set -u
@@ -32,11 +33,15 @@ check() {
     shift
     python -W error::RuntimeWarning -m diagchan "$@" > "$dir/out" 2> "$dir/err"
     local code=$?
+    local written=$dir/out
+    if [ "$#" -ge 2 ] && [ "${@: -2:1}" = --output ]; then
+        written=${@: -1}
+    fi
     local verdict=ok
     if [ "$code" -ne "$expected" ]; then
         verdict="FAIL (expected exit $expected)"
-    elif [ "$code" -eq 0 ] && { [ -s "$dir/err" ] || [ ! -s "$dir/out" ]; }; then
-        verdict="FAIL (stderr not empty or stdout empty)"
+    elif [ "$code" -eq 0 ] && { [ -s "$dir/err" ] || [ ! -s "$written" ]; }; then
+        verdict="FAIL (stderr not empty or no document written)"
     fi
     echo "$verdict: exit $code: diagchan ${*//"$dir/"/}"
     if [ "$verdict" != ok ]; then
@@ -81,4 +86,12 @@ check 2 apply "${family[@]}" --input "$dir/indefinite.json"
 expect err "semidefinite"
 check 0 transition "${family[@]}"
 check 2 choi --n 3 --family depolarizing --p 2
+# The dense commands at n = 32, each written to a file.
+large=(--n 32 --family depolarizing --p 0.3)
+check 0 choi "${large[@]}" --output "$dir/choi.json"
+check 0 kraus "${large[@]}" --output "$dir/kraus.json"
+check 0 basis --n 32 --output "$dir/basis.json"
+# One past the largest n whose dense arrays fit the limit.
+check 2 choi --n 65 --family depolarizing --p 0.3
+expect err "above the limit of 268435456 bytes (n <= 64)"
 exit "$failed"

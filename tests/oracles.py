@@ -279,7 +279,13 @@ def loop_transition_closed_form(t, n: int) -> np.ndarray:
 
 
 def recursive_render_json(value) -> str:
-    """The CLI's JSON rendering as one recursive isinstance chain per value."""
+    """The CLI's JSON rendering as one recursive isinstance chain per value.
+
+    An array, such as a matrix document's entries, is first turned into the
+    nested ``[re, im]`` lists that ``matrix_document`` once built from it.
+    """
+    if isinstance(value, np.ndarray):
+        return recursive_render_json(np.stack([value.real, value.imag], -1).tolist())
     if value is None:
         return "null"
     if isinstance(value, bool):

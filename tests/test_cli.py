@@ -4,10 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from diagchan import cli
-from diagchan.channels import ChannelFamily, family_parameter_range
+from diagchan.channels import (
+    ChannelFamily, DiagonalChannel, choi_matrix, family_parameter_range,
+)
 from diagchan.cli import main, matrix_document, parse_matrix_document, render_json
 
 from conftest import peak_bytes
@@ -41,6 +46,51 @@ def test_matrix_document_round_trip(rng):
 def test_render_json_is_plain_ascii_with_17_digits():
     text = render_json({"x": 0.6, "flag": True, "nothing": None})
     assert text == '{"x":0.59999999999999998,"flag":true,"nothing":null}'
+
+
+# Entries that stress %.17g: signed zeros, subnormals, both ends of the
+# exponent range, and any other finite double.
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _complex_matrices(draw):
+    k = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(1, k), (k, 1), (k, k)]))
+    m = np.empty(shape, dtype=np.complex128)
+    m.real = draw(hnp.arrays(np.float64, shape, elements=_ENTRY))
+    m.imag = draw(hnp.arrays(np.float64, shape, elements=_ENTRY))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=_complex_matrices(), data=st.data())
+def test_matrix_document_renders_as_its_nested_entry_lists(m, data):
+    # The array renders to the bytes of the nested [re, im] lists, also
+    # when it is not C-contiguous.
+    for a in (m, m.T):
+        nested = {"shape": list(a.shape), "entries": np.stack([a.real, a.imag], -1).tolist()}
+        assert render_json(matrix_document(a)) == recursive_render_json(nested)
+    bad = m.copy()
+    r, c = data.draw(st.integers(0, m.shape[0] - 1)), data.draw(st.integers(0, m.shape[1] - 1))
+    part = data.draw(st.sampled_from(["real", "imag"]))
+    getattr(bad, part)[r, c] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ValueError, match="non-finite number in output document"):
+        render_json(matrix_document(bad))
+    for other in (m.real, m[0], np.zeros(m.shape, np.complex64)):
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            render_json({"entries": other})
+
+
+def test_rendering_a_matrix_document_peaks_below_four_times_its_text():
+    # Rows are written from the array itself: no nested-list copy of its
+    # entries, which took about 24 times the text.
+    choi = choi_matrix(DiagonalChannel.from_family("depolarizing", 24, 0.3).coefficients)
+    text = render_json(matrix_document(choi))
+    assert peak_bytes(lambda: render_json(matrix_document(choi))) < 4 * len(text)
 
 
 def test_parse_matrix_document_rejects_bad_grid():
@@ -479,6 +529,27 @@ def test_apply_input_refuses_booleans_and_huge_integers(capsys, tmp_path, doc, m
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("declared", ["2", True, [2], {"n": 2}])
+def test_coefficient_file_refuses_a_declared_n_that_is_not_a_number(capsys, tmp_path, declared):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"n": declared, "coefficients": [1, 0, 0, 0]}))
+    code = main(["verify", "--coefficients", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f'error: declared "n" must be a number, got {json.dumps(declared)}\n'
+
+
+@pytest.mark.parametrize("declared, code", [(2, 0), (2.0, 0), (3, 2)])
+def test_coefficient_file_checks_a_declared_numeric_n_against_its_count(capsys, tmp_path,
+                                                                        declared, code):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"n": declared, "coefficients": [1, 0, 0, 0]}))
+    assert main(["verify", "--coefficients", str(path)]) == code
+    mismatch = "error: declared dimension 3 does not match 4 coefficients\n"
+    assert capsys.readouterr().err == ("" if code == 0 else mismatch)
 
 
 def test_conflicting_channel_flags_rejected(capsys, tmp_path):

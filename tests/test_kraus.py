@@ -167,9 +167,16 @@ def test_kraus_set_refuses_source_rows_outside_the_factor_or_out_of_order():
         ((np.eye(2),), (99,), r"source rows must lie in \[0, 4\), got 99"),
         ((np.eye(2),) * 2, (1, 1), "source rows must be strictly increasing"),
         ((np.eye(2),) * 2, (3, 0), "source rows must be strictly increasing"),
+        ((np.eye(2),), (0.5,), "source rows must be integers, got 0.5"),
+        ((np.eye(2),), (np.float64(1.0),),
+         r"source rows must be integers, got (np\.float64\()?1\.0"),
+        ((np.eye(2),), (99.5,), "source rows must be integers, got 99.5"),
     ]:
         with pytest.raises(ValueError, match=message):
             KrausSet(2, ops, rows)
+    # Integers of any kind numpy has are indices, and come out as Python ints.
+    rows = KrausSet(2, (np.eye(2),) * 2, (np.int64(1), np.uint8(3))).source_rows
+    assert rows == (1, 3) and all(type(i) is int for i in rows)
 
 
 def test_kraus_set_builds_read_only_operators_from_its_entries():
