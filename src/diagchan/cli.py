@@ -25,6 +25,7 @@ from .channels import (
     DiagonalChannel,
     choi_matrix,
     apply_channel,
+    channel_coefficients,
     is_trace_preserving,
     min_choi_eigenvalue,
 )
@@ -155,12 +156,7 @@ def _resolve_channel(ns) -> tuple[int, np.ndarray, ChannelFamily | None]:
             raise ValueError('coefficient file object must carry a "coefficients" array')
     if not isinstance(data, list) or not all(map(_is_json_real, data)):
         raise ValueError("coefficient file must hold a JSON array of reals")
-    arr = np.asarray(data, dtype=np.float64).ravel()
-    n = math.isqrt(arr.size)
-    if n < 2 or n * n != arr.size:
-        raise ValueError(f"coefficient count {arr.size} is not n^2 for any dimension n >= 2")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficients must be finite")
+    n, arr = channel_coefficients(data)
     for hint in (declared_n, ns.n):
         if hint is not None and hint != n:
             raise ValueError(f"declared dimension {hint} does not match {arr.size} coefficients")

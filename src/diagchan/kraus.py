@@ -35,13 +35,12 @@ from .channels import (
 from .linalg import (
     DEFAULT_TOL,
     HERMITIAN_ATOL,
+    _check_tolerance,
     _entry_stack,
     _identity_residual,
-    _least_pivots,
-    _negative_pivot,
+    _pair_cholesky,
     _psd_cholesky,
     _run_pairs,
-    _small_pivot,
     _sparse_gram,
     _sum_by_key,
     as_complex_matrix,
@@ -224,18 +223,19 @@ def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> KrausSet:
     errors are those of factoring the whole matrix.
 
     Raises:
-        ValueError: the matrix is not 2-D, has a non-finite entry, is not
-            square of size n^2, is not Hermitian within
-            :data:`~diagchan.linalg.HERMITIAN_ATOL`, or has an entry above
-            ``tol * max_norm(C)`` off the pattern of a diagonal channel's
-            Choi matrix, checked in this order. The pattern test reads the
-            raw entries, so on a matrix that is Hermitian only within
-            ``HERMITIAN_ATOL`` it is stricter than a test of ``(C + C^*)/2``
-            by at most ``HERMITIAN_ATOL / 2``.
+        ValueError: ``tol`` is not a finite number >= 0, or the matrix is
+            not 2-D, has a non-finite entry, is not square of size n^2, is
+            not Hermitian within :data:`~diagchan.linalg.HERMITIAN_ATOL`, or
+            has an entry above ``tol * max_norm(C)`` off the pattern of a
+            diagonal channel's Choi matrix, checked in this order. The
+            pattern test reads the raw entries, so on a matrix that is
+            Hermitian only within ``HERMITIAN_ATOL`` it is stricter than a
+            test of ``(C + C^*)/2`` by at most ``HERMITIAN_ATOL / 2``.
         NotPositiveSemidefiniteError: the Choi matrix is not positive
             semidefinite within ``tol``; the message names the first failing
             row of the whole matrix.
     """
+    _check_tolerance(tol)
     return _factor_blocks(*_read_choi(choi, tol)).kraus_set()
 
 
@@ -252,8 +252,10 @@ def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
     entries O(n^2).
 
     Raises:
+        ValueError: ``tol`` is not a finite number >= 0, checked first.
         NotPositiveSemidefiniteError: as :func:`kraus_from_choi`.
     """
+    _check_tolerance(tol)
     blocks = _choi_blocks(channel)
     return _factor_blocks(blocks, tol * blocks.scale()).kraus_set()
 
@@ -369,59 +371,18 @@ def _factor_blocks(blocks: _ChoiBlocks, pivot_tol: float) -> _BlockFactor:
     """The semidefinite Cholesky factor of a diagonal channel's Choi matrix
     from its blocks: the coupled block D, on a copy, by the elimination of
     :func:`~diagchan.linalg.psd_cholesky` and the pair blocks
-    ``[[x, b], [b*, y]]`` in closed form, with the absolute ``pivot_tol``.
+    ``[[x, b], [b*, y]]`` all at once by :func:`~diagchan.linalg._pair_cholesky`,
+    with the absolute ``pivot_tol``.
     Raises the error of the smallest failing row of the whole matrix."""
     n = blocks.n
     slots = _choi_slots(n)
-    root, coupling, second_root, failure = _factor_pairs(blocks.x, blocks.y, blocks.b,
-                                                         pivot_tol, slots)
+    root, coupling, second_root, failure = _pair_cholesky(blocks.x, blocks.y, blocks.b,
+                                                          pivot_tol, slots.upper, slots.lower)
     stop = n * n if failure is None else failure[0]
     r = _psd_cholesky(blocks.d.copy(), pivot_tol, slots.coupled[slots.coupled < stop])
     if failure is not None:
         raise failure[1]
     return _BlockFactor(n, r, root, coupling, second_root)
-
-
-def _factor_pairs(x, y, b, pivot_tol: float, slots):
-    """The semidefinite Cholesky elimination of every pair block
-    ``[[x, b], [b*, y]]`` on the rows (i*n+j, j*n+i), in closed form.
-
-    The first row's only remainder is b; the second row's pivot is y less
-    ``|b / R_kk|^2``. The keep/drop/raise rules and arithmetic are those of
-    :func:`~diagchan.linalg.psd_cholesky`. Returns the factor entries
-    ``R_kk`` and ``b / R_kk`` of the first rows and the root of the second
-    pivot, zero where a row is dropped, and ``(row, error)`` for the
-    smallest failing row, or None.
-    """
-    magnitude = np.abs(b)
-    keep = (x > pivot_tol) | (magnitude > pivot_tol)
-    least = _least_pivots(magnitude, y, pivot_tol)
-    first = np.maximum(x, least)
-    negative = x < -pivot_tol
-    small = ~negative & keep & ((least - x > pivot_tol) | (first <= 0.0))
-    ok = keep & ~negative & ~small
-    root = np.zeros_like(x)
-    root[ok] = np.sqrt(first[ok])
-    coupling = np.zeros_like(b)
-    coupling[ok] = b[ok] / root[ok]
-    pivot = y - (coupling.conj() * coupling).real
-    failed = negative | small
-    second_negative = ~failed & (pivot < -pivot_tol)
-    second = ~failed & (pivot > pivot_tol)
-    second_root = np.zeros_like(pivot)
-    second_root[second] = np.sqrt(pivot[second])
-
-    bad = np.flatnonzero(failed | second_negative)
-    if not bad.size:
-        return root, coupling, second_root, None
-    rows = np.where(failed, slots.upper, slots.lower)
-    p = bad[np.argmin(rows[bad])]
-    row = int(rows[p])
-    if small[p]:
-        error = _small_pivot(x[p], row, magnitude[p], least[p])
-    else:
-        error = _negative_pivot(x[p] if negative[p] else pivot[p], row, pivot_tol)
-    return root, coupling, second_root, (row, error)
 
 
 def reconstruction_residual(ks: KrausSet, channel) -> float:

@@ -8,6 +8,8 @@ factorization to rank-deficient positive semidefinite inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Default relative tolerance for semidefinite checks and factorizations.
@@ -153,8 +155,11 @@ def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate that ``a`` is Hermitian to ``atol`` and return ``(a + a^*)/2``.
 
     The returned copy is exactly Hermitian, which keeps downstream
-    eigenvalue and pivot computations free of imaginary drift.
+    eigenvalue and pivot computations free of imaginary drift. A NaN or
+    negative ``atol`` is refused.
     """
+    if not atol >= 0.0:
+        raise ValueError(f"atol must be a number >= 0, got {atol}")
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got shape {m.shape}")
@@ -191,8 +196,15 @@ def as_density_matrix(a, trace_atol: float = 1e-12, eig_atol: float = 1e-10) -> 
     ones. So where the factorization succeeds, the eigenvalue test passes
     too. The eigenvalues decide, and the message names the smallest one,
     when the factorization breaks down, when ``eig_atol <= 0`` and when the
-    rounding bound does not hold.
+    rounding bound does not hold. A NaN or negative ``trace_atol`` and a
+    NaN ``eig_atol`` are refused; a negative ``eig_atol`` demands that
+    margin of positive definiteness.
     """
+    # Plain comparisons: NaN fails ``>=`` and is the one float unequal to itself.
+    if not trace_atol >= 0.0:
+        raise ValueError(f"trace_atol must be a number >= 0, got {trace_atol}")
+    if eig_atol != eig_atol:
+        raise ValueError(f"eig_atol must be a number, got {eig_atol}")
     m = as_hermitian(a)
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > trace_atol:
@@ -220,40 +232,71 @@ def as_density_matrix(a, trace_atol: float = 1e-12, eig_atol: float = 1e-10) -> 
 def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Factor a positive semidefinite Hermitian matrix as ``h = R^* R``.
 
-    R is upper triangular with real nonnegative diagonal. Thresholds scale
-    with ``max_norm(h)``: a row whose pivot and remaining entries are all
-    within ``tol * max_norm(h)`` of zero is zeroed out, so rank-deficient
-    inputs factor deterministically. Any other row is kept, and its pivot is
-    raised, by at most ``tol * max_norm(h)``, to the smallest value that a
-    positive semidefinite matrix allows for that row (``|h_kj|^2 <= h_kk h_jj``),
+    R is upper triangular with real nonnegative diagonal. Each row is
+    refused, dropped or kept by the pivot rule of :func:`_negative`,
+    :func:`_kept` and :func:`_too_small`, with the absolute tolerance
+    ``tol * max_norm(h)``: a row whose pivot and remaining entries are all
+    within it of zero is zeroed out, so rank-deficient inputs factor
+    deterministically. Any other row is kept, and its pivot is raised, by
+    at most ``tol * max_norm(h)``, to the smallest value that a positive
+    semidefinite matrix allows for that row (``|h_kj|^2 <= h_kk h_jj``),
     which keeps every entry of R bounded. Each entry of ``R^* R - h`` is
     therefore at most ``tol * max_norm(h)`` up to rounding. For positive
     definite input the factor is the unique classical one.
 
     Raises:
+        ValueError: ``tol`` is not a finite number >= 0, checked first.
         NotPositiveSemidefiniteError: a pivot falls below ``-tol * max_norm(h)``,
             or is too small by more than that for its row remainder, or is
             zero under a nonzero remainder (whose bound can underflow at
             ``tol = 0``).
     """
+    _check_tolerance(tol)
     a = as_hermitian(h)
-    scale = max_norm(a)
-    if scale == 0.0:
-        return np.zeros_like(a)
-    return _psd_cholesky(a, tol * scale, range(a.shape[0]))
+    return _psd_cholesky(a, tol * max_norm(a), range(a.shape[0]))
 
 
-def _negative_pivot(d: float, k: int, pivot_tol: float) -> NotPositiveSemidefiniteError:
-    return NotPositiveSemidefiniteError(
-        f"pivot {d:.6e} at index {k} is negative beyond tolerance {pivot_tol:.1e}"
-    )
+def _check_tolerance(tol: float) -> None:
+    """Refuse a relative pivot tolerance that is not a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
-def _small_pivot(d: float, k: int, remainder: float, least: float) -> NotPositiveSemidefiniteError:
-    # A least pivot of 0 under a nonzero remainder is an underflowed bound.
+def _negative(d, pivot_tol):
+    """The pivot rule's first test, on floats or entrywise on arrays: a
+    pivot ``d`` below ``-pivot_tol`` is negative, and the row fails."""
+    return d < -pivot_tol
+
+
+def _kept(d, remainder, pivot_tol):
+    """The pivot rule's keep test: a row is dropped, and its row of R left
+    zero, when its pivot ``d`` and the largest magnitude ``remainder`` right
+    of it are both within ``pivot_tol`` of zero. ``pivot_tol >= 0``, so a
+    row without entries right of its pivot can pass 0 as its remainder."""
+    return (d > pivot_tol) | (remainder > pivot_tol)
+
+
+def _too_small(d, least, pivot_tol):
+    """The pivot rule's last test, of a kept row: it fails when its least
+    pivot ``least`` (of :func:`_least_pivots`) exceeds ``d`` by more than
+    ``pivot_tol``, or when neither is positive, so that its root would be
+    zero under a nonzero remainder (at ``pivot_tol = 0`` the bound of a tiny
+    remainder underflows to 0). Otherwise its pivot is raised to
+    ``max(d, least)``."""
+    return (least - d > pivot_tol) | (d <= 0.0) & (least <= 0.0)
+
+
+def _pivot_error(d: float, row: int, pivot_tol: float, remainder: float = 0.0,
+                 least: float = 0.0) -> NotPositiveSemidefiniteError:
+    """The error of a row that fails the pivot rule, named ``row``: negative,
+    or else too small for its largest ``remainder`` and ``least`` pivot."""
+    if _negative(d, pivot_tol):
+        return NotPositiveSemidefiniteError(
+            f"pivot {d:.6e} at index {row} is negative beyond tolerance {pivot_tol:.1e}"
+        )
     needs = f"{least:.6e}" if least > 0.0 else "a positive pivot"
     return NotPositiveSemidefiniteError(
-        f"pivot {d:.6e} at index {k} is too small for its row remainder "
+        f"pivot {d:.6e} at index {row} is too small for its row remainder "
         f"(max {remainder:.6e}; needs {needs})"
     )
 
@@ -281,30 +324,69 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
     Overwrites the exactly Hermitian ``a`` and factors its first
     ``len(index)`` rows, leaving any later rows of R zero. Errors name row k
     as ``index[k]``, so a block of a larger matrix reports the larger
-    matrix's row. A kept row needs a positive pivot: one whose nonzero
-    remainder bounds it by zero through underflow (possible at
-    ``pivot_tol = 0``) fails as too small instead of dividing by a zero root.
+    matrix's row. The pivot rule is applied to Python floats and reads no
+    more than it needs: a row's largest remainder only where its pivot
+    alone does not keep it (or for an error), its least pivot only if it is
+    kept.
     """
     r = np.zeros_like(a)
     for k, row_index in enumerate(index):
-        d = a[k, k].real
-        if d < -pivot_tol:
-            raise _negative_pivot(d, row_index, pivot_tol)
+        d = float(a[k, k].real)
+        if _negative(d, pivot_tol):
+            raise _pivot_error(d, row_index, pivot_tol)
         tail = a[k, k + 1:]
-        if not tail.size:
-            if d > pivot_tol:
-                r[k, k] = np.sqrt(d)
-            continue
         magnitude = np.abs(tail)
-        if d <= pivot_tol and magnitude.max() <= pivot_tol:
+        if not _kept(d, 0.0 if d > pivot_tol else float(magnitude.max(initial=0.0)), pivot_tol):
             continue
-        least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol).max())
-        pivot = max(d, least)
-        if least - d > pivot_tol or pivot <= 0.0:
-            raise _small_pivot(d, row_index, magnitude.max(), least)
-        rkk = np.sqrt(pivot)
+        least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol)
+                      .max(initial=0.0))
+        if _too_small(d, least, pivot_tol):
+            raise _pivot_error(d, row_index, pivot_tol, magnitude.max(), least)
+        rkk = math.sqrt(max(d, least))
         r[k, k] = rkk
         row = tail / rkk
         r[k, k + 1:] = row
-        a[k + 1:, k + 1:] -= np.outer(row.conj(), row)
+        a[k + 1:, k + 1:] -= row.conj()[:, None] * row[None, :]
     return r
+
+
+def _pair_cholesky(x: np.ndarray, y: np.ndarray, b: np.ndarray, pivot_tol: float,
+                   upper: np.ndarray, lower: np.ndarray):
+    """The elimination of :func:`_psd_cholesky` on many 2 x 2 blocks
+    ``[[x, b], [b*, y]]`` at once, block p on the rows ``upper[p] <
+    lower[p]`` of a larger matrix: the rule on all first rows, whose only
+    remainder is b, then on all second rows, whose pivot is y less
+    ``|b / R_kk|^2`` and which have no remainder.
+
+    Returns the factor entries ``R_kk`` and ``b / R_kk`` of the first rows
+    and the root of the second pivot, zero where a row is dropped, and
+    ``(row, error)`` for the smallest failing row, or None; where a row
+    fails, the entries are not meaningful.
+    """
+    magnitude = np.abs(b)
+    kept = _kept(x, magnitude, pivot_tol)
+    least = _least_pivots(magnitude, y, pivot_tol)
+    failed = _negative(x, pivot_tol) | kept & _too_small(x, least, pivot_tol)
+    ok = kept & ~failed
+    root = np.zeros_like(x)
+    root[ok] = np.sqrt(np.maximum(x, least)[ok])
+    coupling = np.zeros_like(b)
+    coupling[ok] = b[ok] / root[ok]
+    # A second row has no remainder, so its least pivot is 0, which the
+    # pivot of a kept row exceeds: it can fail only as negative.
+    pivot = y - (coupling.conj() * coupling).real
+    second = _kept(pivot, 0.0, pivot_tol)
+    second_root = np.zeros_like(pivot)
+    second_root[second] = np.sqrt(pivot[second])
+
+    bad = np.flatnonzero(failed | _negative(pivot, pivot_tol))
+    if not bad.size:
+        return root, coupling, second_root, None
+    rows = np.where(failed, upper, lower)
+    p = bad[np.argmin(rows[bad])]
+    row = int(rows[p])
+    if failed[p]:
+        error = _pivot_error(x[p], row, pivot_tol, magnitude[p], least[p])
+    else:
+        error = _pivot_error(pivot[p], row, pivot_tol)
+    return root, coupling, second_root, (row, error)

@@ -8,9 +8,11 @@ matrix, eigenvalue check or factorization and O(n^8) per Kraus residual,
 and serve only as oracles for the structured routes. The ``loop_``
 functions compute the transition matrices and the hybrid family's Kraus
 operators one entry, projector or operator at a time, as oracles for the
-batched routes. ``transposed_copy_completeness_residual`` is the
-completeness GEMM on a transposed copy of the operators, as it was before
-the Kraus set held them side by side. The ``gemm_`` functions are the
+batched routes, and the semidefinite Cholesky factor with its pivot rule
+written out inline, as an oracle for the rule the library states once.
+``transposed_copy_completeness_residual`` is the completeness GEMM on a
+transposed copy of the operators, as it was before the Kraus set held
+them side by side. The ``gemm_`` functions are the
 basis check as it was before it summed over the nonzero entries, and its
 Gram product: one GEMM of the whole stack, O(n^6) for the basis; and the
 Kraus products as they were before the set held only its nonzero entries:
@@ -34,13 +36,14 @@ from diagchan.channels import apply_channel, channel_coefficients, choi_matrix
 from diagchan.kraus import KrausSet, hybrid_classical_pivots, reshape_row
 from diagchan.transitions import _clamp_noise
 from diagchan.linalg import (
+    NotPositiveSemidefiniteError,
+    _least_pivots,
     as_complex_matrix,
     as_hermitian,
     dagger,
     hermitian_eigenvalues,
     matrix_unit,
     max_norm,
-    psd_cholesky,
 )
 
 
@@ -203,12 +206,53 @@ def dense_min_choi_eigenvalue(channel) -> float:
     return float(hermitian_eigenvalues(choi_matrix(channel))[0])
 
 
+def loop_psd_cholesky(h, tol: float) -> np.ndarray:
+    """The factor of ``psd_cholesky`` from a row loop that tests each pivot
+    inline, apart from the library's shared keep and failure tests: a zero
+    matrix returns at once, the last row is kept when its pivot exceeds the
+    tolerance, and each error text is formed where it is raised."""
+    a = as_hermitian(h)
+    scale = max_norm(a)
+    if scale == 0.0:
+        return np.zeros_like(a)
+    pivot_tol = tol * scale
+    r = np.zeros_like(a)
+    for k in range(a.shape[0]):
+        d = a[k, k].real
+        if d < -pivot_tol:
+            raise NotPositiveSemidefiniteError(
+                f"pivot {d:.6e} at index {k} is negative beyond tolerance {pivot_tol:.1e}"
+            )
+        tail = a[k, k + 1:]
+        if not tail.size:
+            if d > pivot_tol:
+                r[k, k] = np.sqrt(d)
+            continue
+        magnitude = np.abs(tail)
+        if d <= pivot_tol and magnitude.max() <= pivot_tol:
+            continue
+        least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol).max())
+        pivot = max(d, least)
+        if least - d > pivot_tol or pivot <= 0.0:
+            needs = f"{least:.6e}" if least > 0.0 else "a positive pivot"
+            raise NotPositiveSemidefiniteError(
+                f"pivot {d:.6e} at index {k} is too small for its row remainder "
+                f"(max {magnitude.max():.6e}; needs {needs})"
+            )
+        rkk = np.sqrt(pivot)
+        r[k, k] = rkk
+        row = tail / rkk
+        r[k, k + 1:] = row
+        a[k + 1:, k + 1:] -= np.outer(row.conj(), row)
+    return r
+
+
 def dense_kraus_from_choi(choi, tol: float) -> KrausSet:
-    """Factor the whole Choi matrix with ``psd_cholesky`` and reshape every
-    nonzero row of the factor into an operator, in row order."""
+    """Factor the whole Choi matrix with ``loop_psd_cholesky`` and reshape
+    every nonzero row of the factor into an operator, in row order."""
     c = as_complex_matrix(choi)
     n = math.isqrt(c.shape[0])
-    r = psd_cholesky(c, tol)
+    r = loop_psd_cholesky(c, tol)
     ops, rows = [], []
     for idx in range(n * n):
         if max_norm(r[idx]) > 0.0:

@@ -259,6 +259,19 @@ def test_verify_rejects_malformed_spec(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1.0, 0.5, 0.5]", "coefficient vector length 3 is not n^2 for any dimension n >= 2"),
+    # json.load reads the NaN token as a float.
+    ("[1, 0, 0, NaN]", "coefficients must be finite"),
+])
+def test_coefficient_file_refuses_a_bad_count_or_a_non_finite_entry(capsys, tmp_path, text,
+                                                                     message):
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    assert main(["verify", "--coefficients", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ----------------------------------------------------------------------
 # apply
 # ----------------------------------------------------------------------

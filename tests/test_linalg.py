@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from diagchan.channels import choi_matrix
+from diagchan.kraus import kraus_from_channel, kraus_from_choi
 from diagchan.linalg import (
     NotPositiveSemidefiniteError,
     _sparse_gram,
@@ -23,7 +25,7 @@ from diagchan.linalg import (
 )
 
 from conftest import random_complex, random_hermitian, random_psd
-from oracles import eigvalsh_density_matrix, gemm_gram
+from oracles import eigvalsh_density_matrix, gemm_gram, loop_psd_cholesky
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -252,6 +254,53 @@ def test_certified_states_need_no_eigenvalues(monkeypatch, rng):
 
 
 # ----------------------------------------------------------------------
+# tolerance arguments
+# ----------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+DEPOLARIZING = [1.0] + [0.2] * 8
+
+
+@pytest.mark.parametrize("call, message", [
+    # Each input would fail another check too: the tolerance is checked first.
+    *[(lambda tol=tol: psd_cholesky([[1.0, 5.0], [0.0, 1.0]], tol),
+       f"tol must be a finite number >= 0, got {tol}") for tol in (NAN, INF, -INF, -1e-10)],
+    *[(lambda tol=tol: kraus_from_choi(np.eye(3), tol),
+       f"tol must be a finite number >= 0, got {tol}") for tol in (NAN, INF, -INF, -1e-10)],
+    *[(lambda tol=tol: kraus_from_channel([1.0, 0.0, 0.0], tol),
+       f"tol must be a finite number >= 0, got {tol}") for tol in (NAN, INF, -INF, -1e-10)],
+    # And on inputs that pass every other check.
+    *[(lambda tol=tol: psd_cholesky(np.eye(3), tol),
+       f"tol must be a finite number >= 0, got {tol}") for tol in (NAN, INF, -1e-10)],
+    *[(lambda tol=tol: kraus_from_choi(choi_matrix(DEPOLARIZING), tol),
+       f"tol must be a finite number >= 0, got {tol}") for tol in (NAN, INF, -1e-10)],
+    *[(lambda tol=tol: kraus_from_channel(DEPOLARIZING, tol),
+       f"tol must be a finite number >= 0, got {tol}") for tol in (NAN, INF, -1e-10)],
+    (lambda: as_hermitian([[1.0, 5.0], [0.0, 1.0]], atol=NAN),
+     "atol must be a number >= 0, got nan"),
+    (lambda: as_hermitian(np.eye(2), atol=-1e-12), "atol must be a number >= 0, got -1e-12"),
+    (lambda: hermitian_eigenvalues(np.eye(2), atol=NAN), "atol must be a number >= 0, got nan"),
+    (lambda: as_density_matrix(np.diag([2.0, 0.0]), trace_atol=NAN),
+     "trace_atol must be a number >= 0, got nan"),
+    (lambda: as_density_matrix(np.diag([1.0, 0.0]), trace_atol=-1e-12),
+     "trace_atol must be a number >= 0, got -1e-12"),
+    (lambda: as_density_matrix(np.diag([2.0, -1.0]), eig_atol=NAN),
+     "eig_atol must be a number, got nan"),
+])
+def test_bad_tolerances_are_refused(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message
+
+
+def test_a_negative_eigenvalue_tolerance_demands_a_margin():
+    assert as_density_matrix(np.diag([0.5, 0.5]), eig_atol=-0.1).tobytes() \
+        == as_hermitian(np.diag([0.5, 0.5])).tobytes()
+    with pytest.raises(ValueError, match="minimum eigenvalue 0.000e"):
+        as_density_matrix(np.diag([1.0, 0.0]), eig_atol=-0.1)
+
+
+# ----------------------------------------------------------------------
 # semidefinite Cholesky
 # ----------------------------------------------------------------------
 
@@ -387,6 +436,62 @@ def test_cholesky_bounds_pivots_whose_remainder_squares_overflow():
     assert_allclose(r[0], np.full(4, np.sqrt(2e160)))
     assert np.all(r[1:] == 0.0)
     assert max_norm(r.conj().T @ r - h) <= 1e-10 * max_norm(h)
+
+
+@st.composite
+def cholesky_inputs(draw):
+    """Hermitian n x n matrices: ``b^* b`` of full rank (as drawn) or of lower
+    rank, or an indefinite ``(b + b^*)/2``, scaled by 1 or 2^+-600."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["psd", "rank-deficient", "indefinite"]))
+    rows = {"psd": n, "rank-deficient": draw(st.integers(1, max(1, n - 1))), "indefinite": n}
+    re, im = draw(hnp.arrays(np.float64, (2, rows[kind], n), elements=st.floats(-1.0, 1.0)))
+    b = re + 1j * im
+    h = b if kind == "indefinite" else b.conj().T @ b
+    # Exactly Hermitian, since the tolerance of the Hermitian check is absolute.
+    return (h + h.conj().T) / 2.0 * 2.0 ** draw(st.sampled_from([0, 600, -600]))
+
+
+def _pivots_at(*pivots, remainder=0.0):
+    """diag(pivots) with ``remainder`` in the corners (0, n-1) and (n-1, 0)."""
+    h = np.diag(pivots).astype(complex)
+    h[0, -1] = h[-1, 0] = remainder
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(cholesky_inputs(), st.sampled_from([0.0, 1e-10, 1e-6]))
+# max |h| = 1, so the pivot tolerance is tol itself: pivots and a remainder
+# at exactly +-1e-10 and one ulp beside it.
+@example(_pivots_at(1e-10, 1.0), 1e-10)
+@example(_pivots_at(-1e-10, 1.0), 1e-10)
+@example(_pivots_at(1.0, -1e-10), 1e-10)
+@example(_pivots_at(1.0, 1e-10), 1e-10)
+@example(_pivots_at(np.nextafter(1e-10, 1.0), 1.0), 1e-10)
+@example(_pivots_at(np.nextafter(-1e-10, -1.0), 1.0), 1e-10)
+@example(_pivots_at(0.0, 1.0, remainder=1e-10), 1e-10)
+@example(_pivots_at(0.0, 1.0, remainder=np.nextafter(1e-10, 1.0)), 1e-10)
+@example(_pivots_at(1e-10, 1.0, remainder=1e-10), 1e-10)
+# At tol = 0 the least pivot of the remainder 1e-170 underflows to 0.
+@example(_pivots_at(0.0, 1.0, remainder=1e-170), 0.0)
+@example(np.zeros((3, 3)), 0.0)
+# The update conj(row)^T row of a one-entry row: np.outer's multiply and some
+# other broadcasts round it differently (1.1e-16 apart in its real part).
+@example(np.array([[1.3125, 1.125 + 0.125j], [1.125 - 0.125j, 1.0]]), 0.0)
+# At tol = 0 a least pivot over the subnormal 5e-313 overflows; a negative
+# row reads no least pivot, so it raises before one could.
+@example(_pivots_at(5e-313, 5e-313, remainder=0.5), 0.0)
+@example(_pivots_at(-1.0, 1.0, 5e-313, remainder=0.5), 0.0)
+def test_psd_cholesky_matches_the_row_loop(h, tol):
+    # A RuntimeWarning is an error in the test suite; both must raise it alike.
+    try:
+        expected = loop_psd_cholesky(h, tol)
+    except (NotPositiveSemidefiniteError, RuntimeWarning) as exc:
+        with pytest.raises(type(exc)) as error:
+            psd_cholesky(h, tol)
+        assert str(error.value) == str(exc)
+        return
+    assert psd_cholesky(h, tol).tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ or not, by construction:
 * not TP: the leading coefficient is 0.5, 0.9, 1.1 or 1.5 instead of 1.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -349,3 +351,97 @@ def test_choi_reader_at_zero_tolerance_refuses_a_zero_root_under_a_nonzero_remai
     with pytest.raises(NotPositiveSemidefiniteError) as dense:
         dense_kraus_from_choi(choi, 0.0)
     assert str(structured.value) == str(dense.value)
+
+
+# ----------------------------------------------------------------------
+# the pivot rule at its edges
+# ----------------------------------------------------------------------
+
+#: With max |C| = 1 the pivot tolerance is this relative tolerance, exactly.
+EDGE_TOL = 2.0 ** -30
+BELOW, ABOVE = np.nextafter(EDGE_TOL, 0.0), np.nextafter(EDGE_TOL, 1.0)
+#: +-EDGE_TOL and the floats one ulp beside each.
+EDGES = [sign * v for sign in (1.0, -1.0) for v in (BELOW, EDGE_TOL, ABOVE)]
+#: Pivots x whose shortfall 2 EDGE_TOL - x against a least pivot of
+#: 2 EDGE_TOL lies one ulp (2^-82) above EDGE_TOL, at it and one ulp below.
+NEAR_LEAST = (EDGE_TOL - 2.0 ** -82, EDGE_TOL, ABOVE)
+
+
+def block_choi(d, pairs=()):
+    """The n^2 x n^2 matrix with the coupled block d on the slots i*n+i and,
+    on the slots (i*n+j, j*n+i) of each pair i < j, the block
+    ``[[x, b], [b*, y]]`` of ``dict(pairs)[(i, j)] = (x, y, b)``, or I."""
+    n = len(d)
+    c = np.zeros((n * n, n * n), dtype=complex)
+    c[::n + 1, ::n + 1] = d
+    for i, j in combinations(range(n), 2):
+        x, y, b = dict(pairs).get((i, j), (1.0, 1.0, 0.0))
+        upper, lower = i * n + j, j * n + i
+        c[upper, upper], c[lower, lower], c[upper, lower], c[lower, upper] = x, y, b, np.conj(b)
+    return c
+
+
+def coupled_block(n, pivot, remainder=0.0, second=1.0):
+    """I_n with ``pivot`` at (0, 0), ``remainder`` at (0, 1) and (1, 0) and
+    ``second`` at (1, 1)."""
+    d = np.eye(n)
+    d[0, 0], d[0, 1], d[1, 0], d[1, 1] = pivot, remainder, remainder, second
+    return d
+
+
+def edge_cases():
+    """Choi-patterned matrices at n = 2 and 3, by kind, whose every entry is
+    a float with max |C| = 1. Each places one value of the pivot rule at,
+    or one ulp beside, +-EDGE_TOL: a D pivot on each row; D's first
+    remainder over a zero pivot; a D pivot whose least pivot is 2 EDGE_TOL
+    (remainder 2^-15 over 0.5); and in each pair block its x, its |b| (real,
+    negative or imaginary) over x = 0, its x against the least pivot 2
+    EDGE_TOL, and its second pivot, as y or as y - |b / R_kk|^2 = y - 1/4."""
+    cases = {}
+    for n in (2, 3):
+        for k in range(n):
+            for v in EDGES:
+                d = np.eye(n)
+                d[k, k] = v
+                cases.setdefault("D pivot", []).append(block_choi(d))
+        cases.setdefault("D remainder", []).extend(
+            block_choi(coupled_block(n, 0.0, v)) for v in (BELOW, EDGE_TOL, ABOVE))
+        cases.setdefault("D least pivot", []).extend(
+            block_choi(coupled_block(n, x, 2.0 ** -15, 0.5)) for x in NEAR_LEAST)
+        for pair in combinations(range(n), 2):
+            blocks = {
+                "pair x": [(v, 1.0, 0.0) for v in EDGES],
+                "pair |b|": [(0.0, 1.0, phase * v) for v in (BELOW, EDGE_TOL, ABOVE)
+                             for phase in (1.0, -1.0, 1j)],
+                "pair least pivot": [(x, 0.5, 2.0 ** -15) for x in NEAR_LEAST],
+                "pair second pivot": [(1.0, v, 0.0) for v in EDGES]
+                + [(1.0, 0.25 + v, 0.5) for v in (EDGE_TOL, -EDGE_TOL)],
+            }
+            for kind, values in blocks.items():
+                cases.setdefault(kind, []).extend(
+                    block_choi(np.eye(n), {pair: block}) for block in values)
+    return cases
+
+
+EDGE_CASES = edge_cases()
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_CASES))
+def test_kraus_routes_match_the_row_loop_at_the_pivot_rule_edges(kind):
+    outcomes = set()
+    for choi in EDGE_CASES[kind]:
+        assert max_norm(choi) == 1.0
+        try:
+            dense = dense_kraus_from_choi(choi, EDGE_TOL)
+        except NotPositiveSemidefiniteError as exc:
+            with pytest.raises(NotPositiveSemidefiniteError) as structured:
+                kraus_from_choi(choi, EDGE_TOL)
+            assert str(structured.value) == str(exc)
+            outcomes.add(str(exc))
+            continue
+        ks = kraus_from_choi(choi, EDGE_TOL)
+        assert ks.source_rows == dense.source_rows
+        assert operator_stack(ks).tobytes() == operator_stack(dense).tobytes()
+        outcomes.add(ks.source_rows)
+    # Each kind's values fall on both sides of an edge.
+    assert len(outcomes) > 1
