@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     _entry_stack,
+    _EntryFamily,
     _identity_residual,
     _sparse_gram,
     as_complex_matrix,
@@ -67,17 +68,15 @@ def _pauli_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class HermitianBasis:
+class HermitianBasis(_EntryFamily):
     """Ordered orthonormal family of n^2 Hermitian matrices.
 
-    The basis holds only the nonzero entries of its elements, grouped by
-    element: the read-only arrays ``_position`` (the entry's flat index
-    row * n + column) and ``_value``, and ``_offsets``, where element k's
-    entries start (``_offsets[n^2]`` is their count). The constructor copies
-    them out of the (n^2, n, n) stack it is given; :func:`orthonormal_basis`
-    writes its O(n^2) entries directly. ``elements``, indexing and
-    iteration build read-only arrays on access, with +0.0 at every zero
-    entry.
+    The basis holds only the nonzero entries of its elements, in the
+    read-only arrays of :class:`~diagchan.linalg._EntryFamily`. The
+    constructor copies them out of the (n^2, n, n) stack it is given;
+    :func:`orthonormal_basis` writes its O(n^2) entries directly.
+    ``elements``, indexing and iteration build read-only arrays on access,
+    with +0.0 at every zero entry.
 
     Construction refuses, in this order: n < 2, a stack of any other shape,
     a non-finite entry, an element that is not Hermitian within
@@ -101,17 +100,13 @@ class HermitianBasis:
             raise ValueError(f"expected {(n * n, n, n)} element stack, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
-        flat = arr.reshape(n * n, n * n)
-        element, position = np.nonzero(flat)
-        self._hold(n, element.searchsorted(np.arange(n * n + 1)), position,
-                   flat[element, position])
+        self._hold_stack(n, arr.reshape(n * n, n * n))._check()
 
-    def _hold(self, n: int, offsets: np.ndarray, position: np.ndarray,
-              value: np.ndarray) -> HermitianBasis:
-        """Check and take over the entries (offsets, position, value) of n^2
-        elements, finite, nonzero and in increasing position within each
-        element, that no one else writes to. Returns the basis."""
-        element = np.repeat(np.arange(n * n), np.diff(offsets))
+    def _check(self) -> HermitianBasis:
+        """Refuse held elements that are not Hermitian or not orthonormal.
+        Returns the basis."""
+        n, position, value = self.dim, self._position, self._value
+        element = self._member()
         # Entries sorted by (element, position), so a mirror is found by search.
         key = element * (n * n) + position
         row, column = np.divmod(position, n)
@@ -121,15 +116,10 @@ class HermitianBasis:
         if drift > ORTHONORMALITY_ATOL:
             raise ValueError(f"basis elements are not Hermitian: max drift {drift:.3e}")
         # Columns of the n^2 x n^2 matrix of flattened elements are the
-        # elements, so its Gram entries are <e_p, e_q>; Gram reads its rows,
-        # the positions, in order.
-        order = np.argsort(position, kind="stable")
-        gram = _sparse_gram(position[order], element[order], value[order], n * n)
+        # elements, so its Gram entries are <e_p, e_q>; its rows are the positions.
+        gram = _sparse_gram(position, element, value, n * n)
         if _identity_residual(*gram, n * n) > ORTHONORMALITY_ATOL:
             raise ValueError("basis is not orthonormal under the Hilbert-Schmidt inner product")
-        for array in (offsets, position, value):
-            array.setflags(write=False)
-        vars(self).update(dim=n, _offsets=offsets, _position=position, _value=value)
         return self
 
     @property
@@ -137,13 +127,6 @@ class HermitianBasis:
         """The elements as one read-only (n^2, n, n) array, built on each
         access."""
         return self[:]
-
-    def __len__(self) -> int:
-        return self.dim * self.dim
-
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
 
     def __getitem__(self, idx) -> np.ndarray:
         """The elements at ``idx``, an index of the element axis, built as a
@@ -171,7 +154,7 @@ def orthonormal_basis(n: int) -> HermitianBasis:
     scales = np.concatenate([[1.0 / np.sqrt(n)], np.full(2 * num_pairs, 1.0 / np.sqrt(2.0)),
                              1.0 / np.sqrt(levels * (levels + 1.0))])
     value *= np.repeat(scales, np.diff(offsets))
-    return object.__new__(HermitianBasis)._hold(n, offsets, position, value)
+    return object.__new__(HermitianBasis)._hold(n, offsets, position, value)._check()
 
 
 def diagonal_block_slice(n: int) -> slice:
@@ -190,7 +173,7 @@ def expand(a, basis: HermitianBasis) -> np.ndarray:
     n = basis.dim
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-    element = np.repeat(np.arange(len(basis)), np.diff(basis._offsets))
+    element = basis._member()
     terms = basis._value.conj() * m.reshape(-1)[basis._position]
     coeffs = (np.bincount(element, terms.real, len(basis))
               + 1j * np.bincount(element, terms.imag, len(basis)))

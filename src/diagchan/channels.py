@@ -164,12 +164,10 @@ def _coefficient_blocks(channel) -> tuple[int, np.ndarray, np.ndarray, np.ndarra
 def _diagonal_sub_basis(n: int) -> np.ndarray:
     """Read-only n x n orthogonal matrix W whose rows are the diagonals of
     the identity/sqrt(n) and of the n-1 traceless diagonal basis elements."""
-    w = np.zeros((n, n))
-    w[0] = 1.0 / np.sqrt(n)
-    for m in range(1, n):
-        w[m, :m] = 1.0
-        w[m, m] = -float(m)
-        w[m] /= np.sqrt(m * (m + 1.0))
+    m = np.arange(n)
+    w = np.tri(n, n, -1) - np.diag(m)
+    w[0] = 1.0
+    w /= np.sqrt(np.where(m == 0, n, m * (m + 1.0)))[:, None]
     w.setflags(write=False)
     return w
 

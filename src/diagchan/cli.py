@@ -45,7 +45,9 @@ EXIT_DEGENERATE = 4
 
 #: Largest dense array a subcommand may build, in bytes: the n^2 x n^2
 #: complex128 Choi matrix, or the n^2 basis elements or Kraus operators of
-#: size n x n, takes 16 n^4 bytes, so n <= 64 fits.
+#: size n x n, takes 16 n^4 bytes, so n <= 64 fits. It bounds that array,
+#: not the process: the rendered rows and the joined text are alive beside
+#: it, and at n = 64 ``choi``, ``kraus`` and ``basis`` peak at 1.5-1.8 times it.
 DENSE_BYTES_LIMIT = 2 ** 28
 
 _FAMILY_NAMES = [f.value for f in ChannelFamily]

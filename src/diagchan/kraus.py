@@ -37,6 +37,7 @@ from .linalg import (
     HERMITIAN_ATOL,
     _check_tolerance,
     _entry_stack,
+    _EntryFamily,
     _identity_residual,
     _pair_cholesky,
     _psd_cholesky,
@@ -63,19 +64,18 @@ class DegenerateChannelError(ValueError):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class KrausSet:
+class KrausSet(_EntryFamily):
     """Ordered Kraus operators of an n-dimensional channel.
 
     ``source_rows`` records, for each operator, the index of the triangular
     factor row it came from, strictly increasing in [0, n^2); rows that were
     entirely zero produce no operator, so rank-deficient channels carry
     fewer than n^2 operators. The set holds only the nonzero entries of its
-    operators, grouped by operator: the read-only arrays ``_position`` (the
-    entry's flat index row * n + column) and ``_value``, and ``_offsets``,
-    where operator k's entries start (``_offsets[len(self)]`` is their
-    count). The constructor copies them out of the operators it is given,
-    and the factor routes write their O(n^2) entries directly.
-    ``operators`` and iteration build read-only n x n arrays on access.
+    operators, in the read-only arrays of
+    :class:`~diagchan.linalg._EntryFamily`. The constructor copies them out
+    of the operators it is given, and the factor routes write their O(n^2)
+    entries directly. ``operators`` and iteration build read-only n x n
+    arrays on access.
     """
 
     dim: int
@@ -113,29 +113,7 @@ class KrausSet:
             raise ValueError(f"source rows must lie in [0, {n * n}), got {outside[0]}")
         if any(later <= earlier for earlier, later in zip(rows, rows[1:])):
             raise ValueError("source rows must be strictly increasing")
-        operator, position = np.nonzero(flat)
-        self._hold(n, rows, operator.searchsorted(np.arange(count + 1)), position,
-                   flat[operator, position])
-
-    def _hold(self, n, source_rows, *entries) -> KrausSet:
-        """Take over ``entries``, the arrays (offsets, position, value) of
-        finite nonzero values grouped by operator, that no one else writes
-        to: no copy and no checks. Returns the set."""
-        for array in entries:
-            array.setflags(write=False)
-        vars(self).update(zip(("dim", "source_rows", "_offsets", "_position", "_value"),
-                              (n, source_rows, *entries)))
-        return self
-
-    def __len__(self) -> int:
-        return len(self.source_rows)
-
-    def __iter__(self):
-        for lo, hi in zip(self._offsets[:-1], self._offsets[1:]):
-            op = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            op.reshape(-1)[self._position[lo:hi]] = self._value[lo:hi]
-            op.setflags(write=False)
-            yield op
+        self._hold_stack(n, flat, source_rows=rows)
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -185,9 +163,8 @@ class KrausSet:
         """
         n = self.dim
         row, column = np.divmod(self._position, n)
-        key = np.repeat(np.arange(len(self)), np.diff(self._offsets)) * n + column
-        order = np.argsort(key, kind="stable")
-        return _identity_residual(*_sparse_gram(key[order], row[order], self._value[order], n), n)
+        key = self._member() * n + column
+        return _identity_residual(*_sparse_gram(key, row, self._value, n), n)
 
 
 def reshape_row(kappa, n: int) -> np.ndarray:
@@ -363,8 +340,8 @@ class _BlockFactor(NamedTuple):
         kept = np.flatnonzero(value)[np.argsort(source[value != 0], kind="stable")]
         source_rows, counts = np.unique(source[kept], return_counts=True)
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        return object.__new__(KrausSet)._hold(n, tuple(source_rows.tolist()), offsets,
-                                              position[kept], value[kept])
+        return object.__new__(KrausSet)._hold(n, offsets, position[kept], value[kept],
+                                              source_rows=tuple(source_rows.tolist()))
 
 
 def _factor_blocks(blocks: _ChoiBlocks, pivot_tol: float) -> _BlockFactor:
@@ -400,8 +377,7 @@ def reconstruction_residual(ks: KrausSet, channel) -> float:
     n, _ = channel_coefficients(channel)
     if n != ks.dim:
         raise ValueError(f"dimension mismatch: Kraus set is {ks.dim}, channel is {n}")
-    operator = np.repeat(np.arange(len(ks)), np.diff(ks._offsets))
-    p, q, g = _sparse_gram(operator, ks._position, ks._value, n * n)
+    p, q, g = _sparse_gram(ks._member(), ks._position, ks._value, n * n)
     position, value = _choi_blocks(channel).entries()
     key = np.concatenate([p * n * n + q, position])
     return max_norm(_sum_by_key(key, np.concatenate([g, -value]))[1])

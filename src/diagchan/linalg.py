@@ -74,8 +74,9 @@ def hs_inner(a, b) -> complex:
 def _sparse_gram(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
                  m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Gram matrix ``x^* x`` of the m columns of a sparse matrix x, from
-    its nonzero entries ``x[rows[e], cols[e]] = values[e]`` in row order
-    (rows nondecreasing).
+    its nonzero entries ``x[rows[e], cols[e]] = values[e]`` in any order.
+    One stable sort puts them in row order, so the entries of a row keep
+    their given order.
 
     Each row r adds ``conj(x[r, p]) x[r, q]`` to every pair (p, q) of the
     columns in which it is nonzero. How a row is summed is fixed by its
@@ -92,6 +93,8 @@ def _sparse_gram(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
     in lexicographic order, with its entry g of ``x^* x``. Every other entry
     of ``x^* x`` is zero.
     """
+    order = np.argsort(rows, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
     # Each entry's row starts at ``start`` and holds ``counts`` entries.
     start = rows.searchsorted(rows)
     counts = rows.searchsorted(rows, "right") - start
@@ -132,6 +135,47 @@ def _entry_stack(picked: np.ndarray, n: int, offsets: np.ndarray, position: np.n
     out = np.zeros((picked.size, n, n), dtype=np.complex128)
     out.reshape(picked.size, n * n)[slot, position[source]] = value[source]
     return out
+
+
+class _EntryFamily:
+    """A family of n x n complex matrices, its members, held by their nonzero
+    entries grouped by member: the read-only arrays ``_position`` (the
+    entry's flat index row * n + column) and ``_value``, and ``_offsets``,
+    where member k's entries start (``_offsets[len(self)]`` is their count),
+    as :func:`_entry_stack` reads them. Iteration builds each member as a
+    read-only n x n array, with +0.0 at every zero entry."""
+
+    def _hold(self, n: int, offsets: np.ndarray, position: np.ndarray, value: np.ndarray,
+              **fields):
+        """Take over the entries (offsets, position, value), finite, nonzero
+        and in increasing position within each member, that no one else
+        writes to: no copy and no checks. Sets ``dim`` to n and ``fields``;
+        returns the family."""
+        for array in (offsets, position, value):
+            array.setflags(write=False)
+        vars(self).update(fields, dim=n, _offsets=offsets, _position=position, _value=value)
+        return self
+
+    def _hold_stack(self, n: int, flat: np.ndarray, **fields):
+        """Hold, as :meth:`_hold` does, the nonzero entries of the finite
+        (k, n^2) stack ``flat`` of k flattened members, copied out of it."""
+        member, position = np.nonzero(flat)
+        return self._hold(n, member.searchsorted(np.arange(flat.shape[0] + 1)), position,
+                          flat[member, position], **fields)
+
+    def _member(self) -> np.ndarray:
+        """The member index of each entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self._offsets))
+
+    def __len__(self) -> int:
+        return self._offsets.size - 1
+
+    def __iter__(self):
+        for lo, hi in zip(self._offsets[:-1], self._offsets[1:]):
+            out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            out.reshape(-1)[self._position[lo:hi]] = self._value[lo:hi]
+            out.setflags(write=False)
+            yield out
 
 
 def _sum_by_key(key: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +353,10 @@ def _least_pivots(magnitude: np.ndarray, later: np.ndarray, pivot_tol: float) ->
     below 1.5e-154. A positive ``pivot_tol`` keeps every denominator positive.
     Otherwise a zero entry imposes no bound (0, even over a zero diagonal)
     and a nonzero entry over a zero diagonal an unmeetable one (inf), both
-    without dividing by zero."""
+    without dividing by zero. A bound beyond the float range overflows to
+    inf, unmeetable too: the callers hold ``np.errstate(divide="ignore",
+    over="ignore")``, once per elimination, so that this overflow, in the
+    divide or in the multiply, is not reported."""
     rest = np.maximum(later, pivot_tol)
     if pivot_tol > 0.0:
         return magnitude / rest * magnitude
@@ -330,23 +377,27 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float, index) -> np.ndarray:
     kept.
     """
     r = np.zeros_like(a)
-    for k, row_index in enumerate(index):
-        d = float(a[k, k].real)
-        if _negative(d, pivot_tol):
-            raise _pivot_error(d, row_index, pivot_tol)
-        tail = a[k, k + 1:]
-        magnitude = np.abs(tail)
-        if not _kept(d, 0.0 if d > pivot_tol else float(magnitude.max(initial=0.0)), pivot_tol):
-            continue
-        least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol)
-                      .max(initial=0.0))
-        if _too_small(d, least, pivot_tol):
-            raise _pivot_error(d, row_index, pivot_tol, magnitude.max(), least)
-        rkk = math.sqrt(max(d, least))
-        r[k, k] = rkk
-        row = tail / rkk
-        r[k, k + 1:] = row
-        a[k + 1:, k + 1:] -= row.conj()[:, None] * row[None, :]
+    # One errstate for the whole loop: one per row would cost as much as
+    # the least pivots it covers.
+    with np.errstate(divide="ignore", over="ignore"):
+        for k, row_index in enumerate(index):
+            d = float(a[k, k].real)
+            if _negative(d, pivot_tol):
+                raise _pivot_error(d, row_index, pivot_tol)
+            tail = a[k, k + 1:]
+            magnitude = np.abs(tail)
+            if not _kept(d, 0.0 if d > pivot_tol else float(magnitude.max(initial=0.0)),
+                         pivot_tol):
+                continue
+            least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol)
+                          .max(initial=0.0))
+            if _too_small(d, least, pivot_tol):
+                raise _pivot_error(d, row_index, pivot_tol, magnitude.max(), least)
+            rkk = math.sqrt(max(d, least))
+            r[k, k] = rkk
+            row = tail / rkk
+            r[k, k + 1:] = row
+            a[k + 1:, k + 1:] -= row.conj()[:, None] * row[None, :]
     return r
 
 
@@ -365,7 +416,8 @@ def _pair_cholesky(x: np.ndarray, y: np.ndarray, b: np.ndarray, pivot_tol: float
     """
     magnitude = np.abs(b)
     kept = _kept(x, magnitude, pivot_tol)
-    least = _least_pivots(magnitude, y, pivot_tol)
+    with np.errstate(divide="ignore", over="ignore"):
+        least = _least_pivots(magnitude, y, pivot_tol)
     failed = _negative(x, pivot_tol) | kept & _too_small(x, least, pivot_tol)
     ok = kept & ~failed
     root = np.zeros_like(x)

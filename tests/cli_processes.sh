@@ -26,6 +26,9 @@ echo '[1, 1, 0, 0, 1, 0, 0, 0.1, 0.1]' > "$dir/not_cp.json"
 third=1.1441329433551016e+156
 echo "[3.432398830065305e+156, $third, $third, $third, -$third, -$third, -$third, 0, 0]" \
     > "$dir/scaled_cp.json"
+# A coupling of 0.5 over the subnormal diagonal entry 5e-311: at --tol 0 its
+# least pivot overflows the float range, to inf.
+echo '[1e-310, 0.5, 0.5, 0]' > "$dir/subnormal.json"
 failed=0
 
 check() {
@@ -67,6 +70,8 @@ check 0 basis --n 3
 check 0 choi "${family[@]}"
 check 0 kraus "${family[@]}"
 check 0 kraus "${hybrid[@]}" --p 0.1 --method theorem4
+check 3 kraus --coefficients "$dir/subnormal.json" --tol 0
+expect err "needs inf"
 # One ulp inside the lower end a closed-form pivot rounds to zero.
 check 4 kraus "${hybrid[@]}" --p=-0.19999999999999998 --method theorem4
 check 0 verify "${family[@]}"

@@ -6,10 +6,11 @@ library computed these quantities before it worked from the channel's
 coefficient blocks. They cost O(n^4) per application, O(n^6) per Choi
 matrix, eigenvalue check or factorization and O(n^8) per Kraus residual,
 and serve only as oracles for the structured routes. The ``loop_``
-functions compute the transition matrices and the hybrid family's Kraus
-operators one entry, projector or operator at a time, as oracles for the
-batched routes, and the semidefinite Cholesky factor with its pivot rule
-written out inline, as an oracle for the rule the library states once.
+functions compute the transition matrices, the hybrid family's Kraus
+operators and the diagonal sub-basis W one entry, projector, operator or
+row at a time, as oracles for the batched routes, and the semidefinite
+Cholesky factor with its pivot rule written out inline, as an oracle for
+the rule the library states once.
 ``transposed_copy_completeness_residual`` is the completeness GEMM on a
 transposed copy of the operators, as it was before the Kraus set held
 them side by side. The ``gemm_`` functions are the
@@ -217,33 +218,36 @@ def loop_psd_cholesky(h, tol: float) -> np.ndarray:
         return np.zeros_like(a)
     pivot_tol = tol * scale
     r = np.zeros_like(a)
-    for k in range(a.shape[0]):
-        d = a[k, k].real
-        if d < -pivot_tol:
-            raise NotPositiveSemidefiniteError(
-                f"pivot {d:.6e} at index {k} is negative beyond tolerance {pivot_tol:.1e}"
-            )
-        tail = a[k, k + 1:]
-        if not tail.size:
-            if d > pivot_tol:
-                r[k, k] = np.sqrt(d)
-            continue
-        magnitude = np.abs(tail)
-        if d <= pivot_tol and magnitude.max() <= pivot_tol:
-            continue
-        least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol).max())
-        pivot = max(d, least)
-        if least - d > pivot_tol or pivot <= 0.0:
-            needs = f"{least:.6e}" if least > 0.0 else "a positive pivot"
-            raise NotPositiveSemidefiniteError(
-                f"pivot {d:.6e} at index {k} is too small for its row remainder "
-                f"(max {magnitude.max():.6e}; needs {needs})"
-            )
-        rkk = np.sqrt(pivot)
-        r[k, k] = rkk
-        row = tail / rkk
-        r[k, k + 1:] = row
-        a[k + 1:, k + 1:] -= np.outer(row.conj(), row)
+    # A least pivot beyond the float range is inf and refused, unreported,
+    # as in the library.
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(a.shape[0]):
+            d = a[k, k].real
+            if d < -pivot_tol:
+                raise NotPositiveSemidefiniteError(
+                    f"pivot {d:.6e} at index {k} is negative beyond tolerance {pivot_tol:.1e}"
+                )
+            tail = a[k, k + 1:]
+            if not tail.size:
+                if d > pivot_tol:
+                    r[k, k] = np.sqrt(d)
+                continue
+            magnitude = np.abs(tail)
+            if d <= pivot_tol and magnitude.max() <= pivot_tol:
+                continue
+            least = float(_least_pivots(magnitude, a.diagonal()[k + 1:].real, pivot_tol).max())
+            pivot = max(d, least)
+            if least - d > pivot_tol or pivot <= 0.0:
+                needs = f"{least:.6e}" if least > 0.0 else "a positive pivot"
+                raise NotPositiveSemidefiniteError(
+                    f"pivot {d:.6e} at index {k} is too small for its row remainder "
+                    f"(max {magnitude.max():.6e}; needs {needs})"
+                )
+            rkk = np.sqrt(pivot)
+            r[k, k] = rkk
+            row = tail / rkk
+            r[k, k + 1:] = row
+            a[k + 1:, k + 1:] -= np.outer(row.conj(), row)
     return r
 
 
@@ -349,3 +353,16 @@ def recursive_render_json(value) -> str:
         return "{" + ",".join(f"{json.dumps(k)}:{recursive_render_json(v)}"
                               for k, v in value.items()) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def loop_diagonal_sub_basis(n: int) -> np.ndarray:
+    """The matrix W of ``channels._diagonal_sub_basis`` written row by row:
+    the identity's diagonal over sqrt(n), then for each m = 1..n-1 m ones
+    and -m over sqrt(m(m+1))."""
+    w = np.zeros((n, n))
+    w[0] = 1.0 / np.sqrt(n)
+    for m in range(1, n):
+        w[m, :m] = 1.0
+        w[m, m] = -float(m)
+        w[m] /= np.sqrt(m * (m + 1.0))
+    return w

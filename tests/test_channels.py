@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from diagchan.channels import (
     ChannelFamily,
     DiagonalChannel,
+    _diagonal_sub_basis,
     channel_coefficients,
     choi_matrix,
     family_parameter_range,
@@ -15,6 +16,7 @@ from diagchan.channels import (
 from diagchan.linalg import dagger, hermitian_eigenvalues, matrix_unit, max_norm
 
 from conftest import random_complex, random_hermitian
+from oracles import loop_diagonal_sub_basis
 
 ALL_FAMILIES = list(ChannelFamily)
 
@@ -246,3 +248,24 @@ def test_composition_multiplies_coefficients(rng):
     assert_allclose(composed.coefficients, a.coefficients * b.coefficients)
     m = random_complex(rng, n)
     assert max_norm(a.apply(b.apply(m)) - composed.apply(m)) <= 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: family_parameter_range("depolarizing", 1), "dimension must be at least 2, got 1"),
+    (lambda: DiagonalChannel(1, [1.0]), "dimension must be at least 2, got 1"),
+    (lambda: DiagonalChannel(2, [1.0, np.nan, 0.0, 0.0]), "coefficients must be finite"),
+    (lambda: DiagonalChannel(2, [1.0, 0.0, np.inf, 0.0]), "coefficients must be finite"),
+    (lambda: DiagonalChannel(2, [1.0, 0.5, 0.5, 0.5]).compose(DiagonalChannel(3, [1.0] * 9)),
+     "dimension mismatch: 2 vs 3"),
+])
+def test_channel_refusals_name_the_problem(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message
+
+
+def test_diagonal_sub_basis_matches_the_row_loop_bit_for_bit():
+    for n in range(2, 200):
+        w = _diagonal_sub_basis(n)
+        assert w.tobytes() == loop_diagonal_sub_basis(n).tobytes()
+        assert not w.flags.writeable

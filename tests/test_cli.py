@@ -626,3 +626,63 @@ def test_verify_rejects_bad_tolerance(capsys, tol):
     assert code == 2
     assert captured.out == ""
     assert "--tol" in captured.err
+
+
+# ----------------------------------------------------------------------
+# refusals with exit 2
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   np.array([[0.0, complex(0.0, -np.inf)]])])
+def test_render_json_refuses_a_non_finite_number(value):
+    with pytest.raises(ValueError) as error:
+        render_json({"x": [value]})
+    assert str(error.value) == "non-finite number in output document"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", 'matrix document must be an object with "shape" and "entries"'),
+    ('{"shape": [2, 2]}', 'matrix document must be an object with "shape" and "entries"'),
+    ('{"shape": [2, 2], "entries": [[[0.5, 0], [0, 0]]]}',
+     "matrix document must carry 2 entry rows"),
+    # json.load reads 1e999 as an infinite float.
+    ('{"shape": [2, 2], "entries": [[[0.5, 0], [0, 0]], [[0, 0], [1e999, 0]]]}',
+     "entry at row 2, column 2 is not finite"),
+])
+def test_apply_input_refuses_a_malformed_document(capsys, tmp_path, text, message):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code = main(["apply", *HYBRID_FLAGS, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["choi", "--family", "depolarizing", "--p", "0.5"], "--n is required with --family"),
+    (["choi", "--n", "2", "--family", "depolarizing"], "--p is required with --family"),
+    (["choi", "--n", "2"], "a channel spec needs --family with --p, or --coefficients"),
+    (["apply", *HYBRID_FLAGS], "--input with a density-matrix JSON file is required"),
+])
+def test_incomplete_channel_flags_exit_2(capsys, args, message):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_coefficient_object_without_coefficients_exits_2(capsys, tmp_path):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps({"n": 2}))
+    code = main(["verify", "--coefficients", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == 'error: coefficient file object must carry a "coefficients" array\n'
+
+
+def test_a_flag_after_p_is_not_taken_for_its_value(capsys):
+    # "--tol" starts with "-" but is no number, so it stays a flag and --p
+    # has no value: an argparse usage error.
+    with pytest.raises(SystemExit) as exit_:
+        main(["choi", "--n", "2", "--family", "depolarizing", "--p", "--tol", "0"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("error: argument --p: expected one argument\n")

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from diagchan.channels import ChannelFamily, DiagonalChannel, family_parameter_range
 from diagchan.kraus import (
     DegenerateChannelError,
+    HybridClassicalPivots,
     KrausSet,
     hybrid_classical_kraus,
     hybrid_classical_pivots,
@@ -394,3 +395,22 @@ def test_closed_form_one_ulp_inside_either_end_is_degenerate_or_valid():
 def test_closed_form_degenerate_at_boundary():
     with pytest.raises(DegenerateChannelError):
         hybrid_classical_kraus(2, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: KrausSet(1, (), ()), "dimension must be at least 2, got 1"),
+    (lambda: KrausSet(2, ([["a", "b"], ["c", "d"]],), (0,)),
+     "operators must be 2x2 complex matrices"),
+    (lambda: KrausSet(2, (np.eye(2),), (0,)).apply(np.eye(3)),
+     "expected a 2x2 matrix, got shape (3, 3)"),
+    (lambda: reconstruction_residual(KrausSet(2, (np.eye(2),), (0,)), [1.0] * 9),
+     "dimension mismatch: Kraus set is 2, channel is 3"),
+    (lambda: HybridClassicalPivots(3, 0.1, np.ones(2), np.ones(2), 0.3),
+     "expected 3 pivots, got shape (2,)"),
+    (lambda: HybridClassicalPivots(3, 0.1, np.ones(3), np.ones((1, 2)), 0.3),
+     "expected 2 offdiags, got shape (1, 2)"),
+])
+def test_kraus_refusals_name_the_problem(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message

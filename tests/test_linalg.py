@@ -11,6 +11,7 @@ from diagchan.channels import choi_matrix
 from diagchan.kraus import kraus_from_channel, kraus_from_choi
 from diagchan.linalg import (
     NotPositiveSemidefiniteError,
+    _pair_cholesky,
     _sparse_gram,
     as_complex_matrix,
     as_density_matrix,
@@ -146,6 +147,12 @@ def test_as_hermitian_symmetrizes_exactly(rng):
 def test_as_hermitian_rejects_nonhermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         as_hermitian([[0, 1], [0, 0]])
+
+
+def test_as_hermitian_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError) as error:
+        as_hermitian(np.ones((2, 3)))
+    assert str(error.value) == "Hermitian matrix must be square, got shape (2, 3)"
 
 
 def test_eigenvalues_of_pauli_z():
@@ -438,6 +445,25 @@ def test_cholesky_bounds_pivots_whose_remainder_squares_overflow():
     assert max_norm(r.conj().T @ r - h) <= 1e-10 * max_norm(h)
 
 
+@pytest.mark.parametrize("h, tol, magnitude", [
+    # At tol = 0 the bound 0.5 / 5e-313 * 0.5 overflows in the divide,
+    ([[5e-313, 0.5], [0.5, 5e-313]], 0.0, "5.000000e-01"),
+    # at tol = 1e-10 the bound 1e300 / 1e290 * 1e300 in the multiply.
+    ([[1e300, 1e300], [1e300, 1e289]], 1e-10, "1.000000e+300"),
+])
+def test_cholesky_refuses_a_bound_beyond_the_float_range_without_a_warning(h, tol, magnitude):
+    # RuntimeWarnings fail the test suite; the pair route reads the same bound.
+    expected = (f"pivot {h[0][0]:.6e} at index 0 is too small for its row remainder"
+                f" (max {magnitude}; needs inf)")
+    with pytest.raises(NotPositiveSemidefiniteError) as error:
+        psd_cholesky(h, tol)
+    assert str(error.value) == expected
+    x, y, b = (np.array([v]) for v in (h[0][0], h[1][1], h[0][1]))
+    failure = _pair_cholesky(x, y, b.astype(complex), tol * max_norm(h), np.array([0]),
+                             np.array([1]))[3]
+    assert failure[0] == 0 and str(failure[1]) == expected
+
+
 @st.composite
 def cholesky_inputs(draw):
     """Hermitian n x n matrices: ``b^* b`` of full rank (as drawn) or of lower
@@ -478,10 +504,13 @@ def _pivots_at(*pivots, remainder=0.0):
 # The update conj(row)^T row of a one-entry row: np.outer's multiply and some
 # other broadcasts round it differently (1.1e-16 apart in its real part).
 @example(np.array([[1.3125, 1.125 + 0.125j], [1.125 - 0.125j, 1.0]]), 0.0)
-# At tol = 0 a least pivot over the subnormal 5e-313 overflows; a negative
-# row reads no least pivot, so it raises before one could.
+# A least pivot beyond the float range is inf, refused as "needs inf" without
+# a warning: at tol = 0 over the subnormal 5e-313 (the divide overflows), and
+# near the top of the range (the multiply overflows). A negative row reads no
+# least pivot, so it raises before one could.
 @example(_pivots_at(5e-313, 5e-313, remainder=0.5), 0.0)
 @example(_pivots_at(-1.0, 1.0, 5e-313, remainder=0.5), 0.0)
+@example(np.array([[1e300, 1e300], [1e300, 1e289]], dtype=complex), 1e-10)
 def test_psd_cholesky_matches_the_row_loop(h, tol):
     # A RuntimeWarning is an error in the test suite; both must raise it alike.
     try:
@@ -540,3 +569,16 @@ def test_sparse_gram_matches_the_dense_gram(x):
     scale = x.shape[0] * float((np.abs(x) ** 2).sum(axis=0).max())
     assert max_norm(gram - dense[p, q]) <= 1e-15 * max(1.0, scale)
 
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_stacks(), st.randoms(use_true_random=False))
+def test_sparse_gram_takes_its_entries_in_any_order(x, random):
+    # A row adds at most one term to each pair, and the helper sorts the
+    # entries by row itself, so any order gives the same bits.
+    rows, cols = np.nonzero(x)
+    order = np.arange(rows.size)
+    random.shuffle(order)
+    m = x.shape[1]
+    expected = _sparse_gram(rows, cols, x[rows, cols], m)
+    got = _sparse_gram(rows[order], cols[order], x[rows, cols][order], m)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))

@@ -134,3 +134,10 @@ def test_markov_composition(rng):
         composed = transition_direct(a.compose(b))
         product = transition_direct(a) @ transition_direct(b)
         assert max_norm(composed - product) <= 1e-10
+
+
+@pytest.mark.parametrize("p, shape", [(np.ones((2, 3)), "(2, 3)"), (np.ones(3), "(3,)")])
+def test_row_stochastic_check_refuses_a_non_square_matrix(p, shape):
+    with pytest.raises(ValueError) as error:
+        is_row_stochastic(p)
+    assert str(error.value) == f"expected a square matrix, got shape {shape}"
