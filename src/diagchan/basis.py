@@ -165,9 +165,12 @@ def diagonal_block_slice(n: int) -> slice:
 def expand(a, basis: HermitianBasis) -> np.ndarray:
     """Expansion coefficients ``<e_k | a>`` of ``a`` in basis order.
 
-    Coefficients are returned complex; for Hermitian input they are
-    validated to be real to within 1e-12, which catches Hermiticity bugs
-    early.
+    Coefficients are returned complex. For exactly Hermitian input
+    (``a == a^*`` entrywise), whose coefficients in :func:`orthonormal_basis`
+    are exactly real, they are validated to be real to within 1e-12, which
+    catches Hermiticity bugs in the basis early. Input Hermitian only within
+    a tolerance is not checked: its anti-Hermitian part alone can give a
+    coefficient an imaginary part above 1e-12.
     """
     m = as_complex_matrix(a)
     n = basis.dim
@@ -177,7 +180,7 @@ def expand(a, basis: HermitianBasis) -> np.ndarray:
     terms = basis._value.conj() * m.reshape(-1)[basis._position]
     coeffs = (np.bincount(element, terms.real, len(basis))
               + 1j * np.bincount(element, terms.imag, len(basis)))
-    if max_norm(m - dagger(m)) <= 1e-12 and float(np.max(np.abs(coeffs.imag))) > 1e-12:
+    if np.array_equal(m, dagger(m)) and float(np.max(np.abs(coeffs.imag))) > 1e-12:
         raise ArithmeticError("expansion of a Hermitian matrix produced complex coefficients")
     return coeffs
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, max_norm
+from .linalg import DEFAULT_TOL, _check_tolerance, as_complex_matrix, max_norm
 
 #: Slack applied to family parameter bounds and coefficient bounds.
 BOUND_SLACK = 1e-12
@@ -315,7 +315,12 @@ def min_choi_eigenvalue(channel) -> float:
 
 
 def is_completely_positive(channel, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the Choi matrix is positive semidefinite to within ``tol``."""
+    """Whether the Choi matrix is positive semidefinite to within ``tol``.
+
+    Raises:
+        ValueError: ``tol`` is not a finite number >= 0, checked first.
+    """
+    _check_tolerance(tol)
     return min_choi_eigenvalue(channel) >= -tol
 
 
@@ -325,6 +330,10 @@ def is_trace_preserving(channel, tol: float = DEFAULT_TOL) -> bool:
     Every basis element but the first is traceless and maps to a multiple
     of itself, so only the identity/sqrt(n) can change its trace, by
     ``|c_0 - 1| sqrt(n)``.
+
+    Raises:
+        ValueError: ``tol`` is not a finite number >= 0, checked first.
     """
+    _check_tolerance(tol)
     n, coeffs = channel_coefficients(channel)
     return bool(abs(coeffs[0] - 1.0) * math.sqrt(n) <= tol)

@@ -129,6 +129,16 @@ def parse_matrix_document(doc) -> np.ndarray:
 # Channel resolution from flags
 # ----------------------------------------------------------------------
 
+def _read_json(path):
+    """The JSON document in the file at ``path``. A document nested deeper
+    than the parser's recursion limit is an input error naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _resolve_channel(ns) -> tuple[int, np.ndarray, ChannelFamily | None]:
     """Channel from flags: (dimension, coefficient vector, family or None).
 
@@ -146,8 +156,7 @@ def _resolve_channel(ns) -> tuple[int, np.ndarray, ChannelFamily | None]:
         return channel.dim, channel.coefficients, ChannelFamily(ns.family)
     if ns.coefficients is None:
         raise ValueError("a channel spec needs --family with --p, or --coefficients")
-    with open(ns.coefficients, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(ns.coefficients)
     declared_n = None
     if isinstance(data, dict):
         declared_n = data.get("n")
@@ -254,8 +263,7 @@ def _cmd_apply(ns):
     dim, coeffs, _ = _resolve_channel(ns)
     if ns.input is None:
         raise ValueError("--input with a density-matrix JSON file is required")
-    with open(ns.input, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(ns.input)
     state = parse_matrix_document(doc)
     state = as_density_matrix(state, trace_atol=ns.tol, eig_atol=ns.tol)
     if state.shape[0] != dim:

@@ -10,8 +10,8 @@ triangular and reshapes each nonzero row of R (row-major) into an n x n
 operator. R has no fill-in, so it is computed block by block, either from
 a Choi matrix (:func:`kraus_from_choi`) or from the channel's coefficient
 blocks without building that matrix (:func:`kraus_from_channel`). For
-the hybrid depolarizing classical family the factorization collapses to
-closed-form pivot recurrences, implemented here as well and ordered
+the hybrid depolarizing classical family the factor has a closed form
+(:func:`hybrid_classical_kraus`), evaluated directly and ordered
 identically so the two routes can be compared entry by entry.
 """
 
@@ -49,17 +49,13 @@ from .linalg import (
     max_norm,
 )
 
-#: Absolute tolerance for the closed-form vs recurrence cross-check.
-CONSISTENCY_ATOL = 1e-12
-
-
 class DegenerateChannelError(ValueError):
     """Closed-form extraction hit a degenerate parameter.
 
     At the boundary of the parameter interval the Choi matrix loses rank,
-    its triangular factor is no longer unique, and the closed-form pivot
-    recurrences divide by zero. Use :func:`kraus_from_choi`, which handles
-    rank-deficient Choi matrices, instead.
+    its triangular factor is no longer unique, and a closed-form pivot
+    vanishes. Use :func:`kraus_from_choi`, which handles rank-deficient Choi
+    matrices, instead.
     """
 
 
@@ -416,13 +412,16 @@ class HybridClassicalPivots:
 def hybrid_classical_pivots(n: int, p: float) -> HybridClassicalPivots:
     """Closed-form pivot sequence for the hybrid depolarizing classical family.
 
-    Computes the pivots both from the closed form and from the elimination
-    recurrences (next pivot = pivot - offdiag^2 / pivot, same correction for
-    the fill) and insists the two agree to 1e-12; disagreement would signal
-    a coding or conditioning problem, not a property of the channel.
+    The elimination of the coupled block takes next pivot = pivot -
+    offdiag^2 / pivot and the same correction for the fill. Its solution is
+    evaluated once per entry, in closed form: with ``gap`` the coupled
+    diagonal entry plus p, ``pivots[m] = gap (1 - p / (gap - mp))`` and
+    ``offdiags[m] = -gap p / (gap - mp)`` for m >= 1. The factor routes run
+    that elimination in floating point; strictly inside the interval their
+    operators agree with :func:`hybrid_classical_kraus` entry by entry.
 
     Requires p strictly inside the family's parameter interval; at the
-    endpoints the Choi matrix is singular and the recurrences degenerate.
+    endpoints the Choi matrix is singular and a pivot vanishes.
     The closed form's denominators ``2p + (1-p)/n - mp`` vanish only at
     p = -1/(n-1) (m = 1) and p = 1/(n(m-2)+1) (m >= 3), all outside the
     interval.
@@ -458,24 +457,6 @@ def hybrid_classical_pivots(n: int, p: float) -> HybridClassicalPivots:
         raise DegenerateChannelError(
             f"closed-form pivots are not all positive for p={p!r}, n={n}"
             " (use kraus_from_choi)"
-        )
-
-    recurrence_pivots = np.empty(n)
-    recurrence_offdiags = np.empty(n - 1)
-    recurrence_pivots[0] = alpha
-    recurrence_offdiags[0] = -p
-    for m in range(1, n):
-        a_prev = recurrence_pivots[m - 1]
-        b_prev = recurrence_offdiags[m - 1]
-        correction = b_prev * b_prev / a_prev
-        recurrence_pivots[m] = a_prev - correction
-        if m < n - 1:
-            recurrence_offdiags[m] = b_prev - correction
-
-    worst = max(max_norm(pivots - recurrence_pivots), max_norm(offdiags - recurrence_offdiags))
-    if not worst <= CONSISTENCY_ATOL:  # NaN fails too
-        raise ArithmeticError(
-            f"closed-form and recurrence pivot values disagree by {worst:.3e}"
         )
     return HybridClassicalPivots(n, float(p), pivots, offdiags, beta)
 

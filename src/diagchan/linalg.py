@@ -301,7 +301,7 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def _check_tolerance(tol: float) -> None:
-    """Refuse a relative pivot tolerance that is not a finite number >= 0."""
+    """Refuse a tolerance that is not a finite number >= 0."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 

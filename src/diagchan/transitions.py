@@ -14,6 +14,7 @@ import numpy as np
 
 from .basis import diagonal_block_slice
 from .channels import _coefficient_blocks, _transition_matrix, channel_coefficients
+from .linalg import _check_tolerance
 
 #: Negative entries above this threshold are rounding noise and clamped to 0.
 CLAMP_ATOL = 1e-12
@@ -72,7 +73,13 @@ def transition_closed_form(t, n: int) -> np.ndarray:
 
 
 def is_row_stochastic(p, tol: float = 1e-12) -> bool:
-    """Whether all entries are >= -tol and every row sums to 1 within tol."""
+    """Whether all entries are >= -tol and every row sums to 1 within tol.
+
+    Raises:
+        ValueError: ``tol`` is not a finite number >= 0, checked first, or
+            ``p`` is not a square matrix.
+    """
+    _check_tolerance(tol)
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {p.shape}")

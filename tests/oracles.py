@@ -57,13 +57,14 @@ def dense_apply(channel, a) -> np.ndarray:
 
 def einsum_expand(a, basis) -> np.ndarray:
     """``<e_k | a>`` for every element, one einsum over the whole stack, with
-    the library's checks and its complex-coefficient error."""
+    the library's checks and its complex-coefficient error on exactly
+    Hermitian input."""
     m = as_complex_matrix(a)
     n = basis.dim
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
     coeffs = np.einsum("aij,ij->a", basis.elements.conj(), m)
-    if max_norm(m - dagger(m)) <= 1e-12 and float(np.max(np.abs(coeffs.imag))) > 1e-12:
+    if np.array_equal(m, dagger(m)) and float(np.max(np.abs(coeffs.imag))) > 1e-12:
         raise ArithmeticError("expansion of a Hermitian matrix produced complex coefficients")
     return coeffs
 

@@ -119,8 +119,9 @@ def test_criterion_4_pivot_identities(capsys):
     for n in range(2, 9):
         lo, hi = family_parameter_range(HYBRID, n)
         for p in np.linspace(lo, hi, 22)[1:-1]:
-            # hybrid_classical_pivots cross-checks closed form vs recurrence
-            # to 1e-12 internally and raises on disagreement.
+            # The elimination recurrence keeps pivot - fill at gap and steps
+            # the fills' reciprocals by 1/gap. With the first pivot and fill
+            # these invariants fix its solution, so they check the closed form.
             data = hybrid_classical_pivots(n, p)
             gap = 2 * p + (1 - p) / n
             worst_gap = max(worst_gap, max_norm(data.pivots[:-1] - data.offdiags - gap))

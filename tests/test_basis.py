@@ -354,6 +354,18 @@ def test_expand_refuses_complex_coefficients_of_a_hermitian_matrix():
             route(m, basis)
 
 
+@pytest.mark.parametrize("n", [5, 16, 64])
+def test_expand_does_not_check_input_hermitian_only_within_a_tolerance(n):
+    # Within 1e-12 of Hermitian, yet the identity coefficient's imaginary
+    # part is sqrt(n)/2 * 1e-12, above 1e-12 from n = 5 on: the input's own,
+    # not a basis bug.
+    m = np.eye(n) / n + 0.5e-12j * np.eye(n)
+    for route in (expand, einsum_expand):
+        coeffs = route(m, orthonormal_basis(n))
+        assert coeffs[0] == pytest.approx(1 / np.sqrt(n) + 0.5e-12j * np.sqrt(n), abs=1e-15)
+        assert max_norm(coeffs[1:]) <= 1e-15
+
+
 def test_expand_validates_shape():
     basis = orthonormal_basis(2)
     with pytest.raises(ValueError):

@@ -678,6 +678,18 @@ def test_coefficient_object_without_coefficients_exits_2(capsys, tmp_path):
     assert captured.err == 'error: coefficient file object must carry a "coefficients" array\n'
 
 
+@pytest.mark.parametrize("flags", [["verify", "--coefficients"],
+                                   ["apply", *HYBRID_FLAGS, "--input"]])
+def test_json_nested_too_deeply_exits_2_naming_the_file(capsys, tmp_path, flags):
+    # Deeper than the parser's recursion limit: a RecursionError in json.load.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main([*flags, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_a_flag_after_p_is_not_taken_for_its_value(capsys):
     # "--tol" starts with "-" but is no number, so it stays a flag and --p
     # has no value: an argparse usage error.

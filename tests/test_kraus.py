@@ -349,7 +349,7 @@ def test_closed_form_operators_n2():
         assert max_norm(got - expected) <= 1e-15
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
 def test_closed_form_matches_factorization(n):
     for p in interior_samples(n, 5):
         ch = DiagonalChannel.from_family(HYBRID, n, p)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from diagchan.channels import choi_matrix
+from diagchan.channels import choi_matrix, is_completely_positive, is_trace_preserving
 from diagchan.kraus import kraus_from_channel, kraus_from_choi
 from diagchan.linalg import (
     NotPositiveSemidefiniteError,
@@ -24,6 +24,7 @@ from diagchan.linalg import (
     max_norm,
     psd_cholesky,
 )
+from diagchan.transitions import is_row_stochastic
 
 from conftest import random_complex, random_hermitian, random_psd
 from oracles import eigvalsh_density_matrix, gemm_gram, loop_psd_cholesky
@@ -293,6 +294,12 @@ DEPOLARIZING = [1.0] + [0.2] * 8
      "trace_atol must be a number >= 0, got -1e-12"),
     (lambda: as_density_matrix(np.diag([2.0, -1.0]), eig_atol=NAN),
      "eig_atol must be a number, got nan"),
+    # The verdicts, on a CP and TP channel and a stochastic matrix.
+    *[(lambda tol=tol, verdict=verdict: verdict(DEPOLARIZING, tol),
+       f"tol must be a finite number >= 0, got {tol}")
+      for verdict in (is_completely_positive, is_trace_preserving) for tol in (NAN, -1.0, INF)],
+    *[(lambda tol=tol: is_row_stochastic(np.eye(3), tol),
+       f"tol must be a finite number >= 0, got {tol}") for tol in (NAN, -1.0, INF)],
 ])
 def test_bad_tolerances_are_refused(call, message):
     with pytest.raises(ValueError) as error:
