@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
+    _check_dimension,
     _entry_stack,
     _EntryFamily,
     _identity_residual,
@@ -52,8 +53,7 @@ def _pauli_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     them, as ``(offsets, position, value)``: element k's entries are
     ``offsets[k]:offsets[k + 1]``, each at the flat index ``row * n + column``,
     in increasing order within the element."""
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    n = _check_dimension(n)
     i, j = np.triu_indices(n, 1)  # the pairs in lexicographic order
     pairs = np.stack([i * n + j, j * n + i], axis=1).reshape(-1)
     # The m-th diagonal element holds m ones and -m at diagonal slots 0..m.
@@ -92,9 +92,7 @@ class HermitianBasis(_EntryFamily):
     dim: int
 
     def __init__(self, dim: int, elements):
-        n = dim
-        if n < 2:
-            raise ValueError(f"dimension must be at least 2, got {n}")
+        n = _check_dimension(dim)
         arr = np.asarray(elements, dtype=np.complex128)
         if arr.shape != (n * n, n, n):
             raise ValueError(f"expected {(n * n, n, n)} element stack, got {arr.shape}")
@@ -139,14 +137,16 @@ class HermitianBasis(_EntryFamily):
         return out
 
 
-@lru_cache(maxsize=None)
+# Typed: 2.0 hashes as 2 does, and must be refused, not served from the cache.
+@lru_cache(maxsize=None, typed=True)
 def orthonormal_basis(n: int) -> HermitianBasis:
     """The orthonormal Hermitian basis in standard order.
 
     Normalizations: identity by 1/sqrt(n), pair matrices by 1/sqrt(2), and
     the m-th traceless diagonal matrix by 1/sqrt(m(m+1)). Results are
-    cached per dimension and safe to share. The basis is built from the
-    O(n^2) nonzero entries of :func:`generalized_pauli`, with no n^4 array.
+    cached per dimension and type of ``n`` and safe to share. The basis is
+    built from the O(n^2) nonzero entries of :func:`generalized_pauli`,
+    with no n^4 array.
     """
     offsets, position, value = _pauli_entries(n)
     num_pairs = n * (n - 1) // 2

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _check_tolerance, as_complex_matrix, max_norm
+from .linalg import DEFAULT_TOL, _check_dimension, _check_tolerance, as_complex_matrix, max_norm
 
 #: Slack applied to family parameter bounds and coefficient bounds.
 BOUND_SLACK = 1e-12
@@ -49,8 +49,7 @@ _FAMILY_SIGNS = {
 def family_parameter_range(family: ChannelFamily | str, n: int) -> tuple[float, float]:
     """Closed interval [lo, hi] of mixing parameters giving a valid channel."""
     family = ChannelFamily(family)
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    n = _check_dimension(n)
     if family is ChannelFamily.DEPOLARIZING:
         return (-1.0 / (n * n - 1), 1.0)
     if family is ChannelFamily.HYBRID_DEPOLARIZING_CLASSICAL:
@@ -74,9 +73,7 @@ class DiagonalChannel:
 
     def __post_init__(self):
         arr = np.array(self.coefficients, dtype=np.float64).ravel()
-        n = self.dim
-        if n < 2:
-            raise ValueError(f"dimension must be at least 2, got {n}")
+        n = _check_dimension(self.dim)
         if arr.size != n * n:
             raise ValueError(f"expected {n * n} coefficients for dimension {n}, got {arr.size}")
         if not np.all(np.isfinite(arr)):
@@ -92,6 +89,7 @@ class DiagonalChannel:
             )
         arr = np.clip(arr, -1.0, 1.0)
         arr.setflags(write=False)
+        object.__setattr__(self, "dim", n)
         object.__setattr__(self, "coefficients", arr)
 
     @classmethod
@@ -147,17 +145,18 @@ def channel_coefficients(channel) -> tuple[int, np.ndarray]:
 
 
 def _coefficient_blocks(channel) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """``(n, s, a, t)``: a channel's coefficients split by basis block, as
-    views where they are contiguous. s and a hold the symmetric and
-    antisymmetric coefficients of the pairs i < j in the order of
-    ``basis.pair_indices``; t holds the leading coefficient followed by the
-    n-1 diagonal-block coefficients."""
+    """``(n, coupled, pair, t)``: a channel's coefficients by basis block.
+    With s and a the symmetric and antisymmetric coefficients of the pairs
+    i < j in the order of ``basis.pair_indices``, ``coupled`` is (s+a)/2
+    and ``pair`` (s-a)/2, each term halved before the sum so that neither
+    overflows; t holds the leading coefficient followed by the n-1
+    diagonal-block coefficients."""
     n, coeffs = channel_coefficients(channel)
     num_pairs = n * (n - 1) // 2
-    s = coeffs[1:1 + num_pairs]
-    a = coeffs[1 + num_pairs:1 + 2 * num_pairs]
+    halves = coeffs[1:1 + 2 * num_pairs] / 2.0
+    s, a = halves[:num_pairs], halves[num_pairs:]
     t = np.concatenate([coeffs[:1], coeffs[1 + 2 * num_pairs:]])
-    return n, s, a, t
+    return n, s + a, s - a, t
 
 
 @lru_cache(maxsize=None)
@@ -219,18 +218,18 @@ def apply_channel(channel, a) -> np.ndarray:
     expanding X in the orthonormal basis, scaling each coefficient and
     reconstructing, without the n^2 basis elements.
     """
-    n, s, anti, t = _coefficient_blocks(channel)
+    n, coupled, pair, t = _coefficient_blocks(channel)
     m = as_complex_matrix(a)
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
     # Symmetric n x n matrices with zero diagonal holding (s+a)/2 and
     # (s-a)/2 at (i, j) and (j, i).
     slots = _choi_slots(n)
-    coupled = np.zeros(n * n)
-    pair = np.zeros(n * n)
-    coupled[slots.upper] = coupled[slots.lower] = (s + anti) / 2.0
-    pair[slots.upper] = pair[slots.lower] = (s - anti) / 2.0
-    out = coupled.reshape(n, n) * m + pair.reshape(n, n) * m.T
+    same = np.zeros(n * n)
+    swapped = np.zeros(n * n)
+    same[slots.upper] = same[slots.lower] = coupled
+    swapped[slots.upper] = swapped[slots.lower] = pair
+    out = same.reshape(n, n) * m + swapped.reshape(n, n) * m.T
     w = _diagonal_sub_basis(n)
     np.fill_diagonal(out, w.T @ (t * (w @ np.diagonal(m))))
     return out
@@ -270,16 +269,15 @@ class _ChoiBlocks(NamedTuple):
 def _choi_blocks(channel) -> _ChoiBlocks:
     """The Choi matrix's blocks from the coefficient blocks, in O(n^2) plus
     the n x n GEMM of M. Adding 0.0 turns every -0.0 into +0.0."""
-    n, s, a, t = _coefficient_blocks(channel)
+    n, coupled, pair, t = _coefficient_blocks(channel)
     slots = _choi_slots(n)
     # Entry (i, j) of an n x n matrix sits at i*n+j of its flattening: the
     # slot numbers index D and M.
     m = _transition_matrix(n, t).reshape(-1) + 0.0
     d = np.zeros(n * n)
     d[slots.coupled] = m[slots.coupled]
-    d[slots.upper] = d[slots.lower] = (s + a) / 2.0
-    return _ChoiBlocks(n, (d + 0j).reshape(n, n), m[slots.upper], m[slots.lower],
-                       (s - a) / 2.0 + 0j)
+    d[slots.upper] = d[slots.lower] = coupled
+    return _ChoiBlocks(n, (d + 0j).reshape(n, n), m[slots.upper], m[slots.lower], pair + 0j)
 
 
 def choi_matrix(channel) -> np.ndarray:
@@ -305,12 +303,13 @@ def min_choi_eigenvalue(channel) -> float:
     The Choi matrix is a permutation of the coupled block D and of one real
     2 x 2 block ``[[x, b], [b, y]]`` per pair (see :class:`_ChoiBlocks`).
     The smaller eigenvalue of a pair block is
-    ``(x+y)/2 - hypot((x-y)/2, b)``. The Choi matrix itself is never built.
+    ``(x+y)/2 - hypot((x-y)/2, b)``, with x and y halved before the sums so
+    that they do not overflow. The Choi matrix itself is never built.
     """
     # A channel's blocks are real-valued: the real symmetric eigensolver.
     blocks = _choi_blocks(channel)
-    x, y = blocks.x, blocks.y
-    pairs = (x + y) / 2.0 - np.hypot((x - y) / 2.0, blocks.b.real)
+    x, y = blocks.x / 2.0, blocks.y / 2.0
+    pairs = x + y - np.hypot(x - y, blocks.b.real)
     return float(min(np.linalg.eigvalsh(blocks.d.real)[0], pairs.min()))
 
 

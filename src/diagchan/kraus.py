@@ -35,9 +35,11 @@ from .channels import (
 from .linalg import (
     DEFAULT_TOL,
     HERMITIAN_ATOL,
+    _check_dimension,
     _check_tolerance,
     _entry_stack,
     _EntryFamily,
+    _hermitian_halves,
     _identity_residual,
     _pair_cholesky,
     _psd_cholesky,
@@ -45,7 +47,6 @@ from .linalg import (
     _sparse_gram,
     _sum_by_key,
     as_complex_matrix,
-    dagger,
     max_norm,
 )
 
@@ -78,9 +79,7 @@ class KrausSet(_EntryFamily):
     source_rows: tuple[int, ...]
 
     def __init__(self, dim: int, operators, source_rows):
-        n = dim
-        if n < 2:
-            raise ValueError(f"dimension must be at least 2, got {n}")
+        n = _check_dimension(dim)
         count = len(operators)
         if count != len(source_rows):
             raise ValueError("one source row index is required per operator")
@@ -238,18 +237,30 @@ def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
 #: relative margin far above the few roundings of that bound.
 _OFF_PATTERN_HERMITIAN = HERMITIAN_ATOL / 2.0 * (1.0 - 1e-12)
 
+#: Largest entry magnitude whose sum with another cannot overflow.
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
+
 
 def _read_choi(choi, tol: float) -> tuple[_ChoiBlocks, float]:
     """The blocks of a diagonal channel's Choi matrix and the pivot tolerance
     ``tol * max_norm(C)``, with the checks of :func:`kraus_from_choi`.
 
-    Only D, x, y and b are symmetrized. The off-pattern maximum of ``|C|``
-    gives the finiteness check, the pattern test and, with the pattern's
-    maxima, the scale. The full Hermiticity pass over ``C - C^*`` runs only
-    when an off-pattern entry exceeds ``HERMITIAN_ATOL / 2`` (less a
-    relative margin for the rounding of ``|a - b*| <= |a| + |b|``) or the
-    drift on the pattern exceeds ``HERMITIAN_ATOL``; otherwise the full drift
-    is within ``HERMITIAN_ATOL`` and the pass could not fail.
+    C is read through the table that writes it, ``_choi_slots(n).pattern``:
+    one gather of the entries of D, x, y and b, in the order of
+    :meth:`_ChoiBlocks.entries`, and one of their mirrors. The maxima of
+    ``|C|`` on and off the pattern give the finiteness check, the pattern
+    test and, with the blocks, the scale. The full Hermiticity pass over
+    ``C - C^*`` runs only when an off-pattern entry exceeds
+    ``HERMITIAN_ATOL / 2`` (less a relative margin for the rounding of
+    ``|a - b*| <= |a| + |b|``) or an entry differs from its mirror by more
+    than ``HERMITIAN_ATOL``; otherwise the full drift is within
+    ``HERMITIAN_ATOL`` and the pass could not fail.
+
+    Only the gathered entries are symmetrized, as ``(value + mirror) / 2``,
+    which gives back the blocks of a channel's Choi matrix bit for bit.
+    Where a pattern entry exceeds half the float range, that sum and the
+    pattern drift could overflow: there the full pass, which takes the
+    drift on halves, always runs, and each term is halved before the sum.
     """
     c = np.asarray(choi, dtype=np.complex128)
     if c.ndim != 2:
@@ -264,29 +275,26 @@ def _read_choi(choi, tol: float) -> tuple[_ChoiBlocks, float]:
         raise ValueError(f"Choi matrix size {size} is not n^2 for any dimension n >= 2")
 
     slots = _choi_slots(n)
-    upper, lower = slots.upper, slots.lower
-    diagonal = c.diagonal()
-    d, x, y = c[::n + 1, ::n + 1], diagonal[upper], diagonal[lower]
-    b, mirror = c[upper, lower], c[lower, upper]
+    # The pattern ends with the mirrors of b, which the second gather reads.
+    pairs = slots.upper.size
+    rows, columns = np.divmod(slots.pattern[:size + 3 * pairs], size)
+    value, mirror = c[rows, columns], c[columns, rows].conj()
     # Row-major whatever the input's layout, so that its flattening is a view.
     magnitude = np.abs(c, order="C")
+    # The pattern is closed under transposition: it holds every mirror.
+    peak = float(magnitude.reshape(-1)[slots.pattern].max())
     magnitude.reshape(-1)[slots.pattern] = 0.0
     stray = float(magnitude.max())
-    if not (math.isfinite(stray) and all(np.isfinite(v).all() for v in (d, x, y, b, mirror))):
+    if not (math.isfinite(peak) and math.isfinite(stray)):
         raise ValueError("matrix entries must be finite")
 
-    pattern_drift = max(max_norm(d - d.conj().T), max_norm(x - x.conj()),
-                        max_norm(y - y.conj()), max_norm(b - mirror.conj()))
-    if pattern_drift > HERMITIAN_ATOL or stray > _OFF_PATTERN_HERMITIAN:
-        drift = max_norm(c - dagger(c))
-        if drift > HERMITIAN_ATOL:
-            raise ValueError(
-                f"matrix is not Hermitian: max |M - M^*| = {drift:.3e} > {HERMITIAN_ATOL:.1e}"
-            )
-    d = (d + d.conj().T) / 2.0
-    x = ((x + x.conj()) / 2.0).real
-    y = ((y + y.conj()) / 2.0).real
-    blocks = _ChoiBlocks(n, d, x, y, (b + mirror.conj()) / 2.0)
+    # Halving first only near the float limit: it moves subnormal entries.
+    huge = peak > _HALF_MAX
+    if huge or stray > _OFF_PATTERN_HERMITIAN or max_norm(value - mirror) > HERMITIAN_ATOL:
+        _hermitian_halves(c, HERMITIAN_ATOL)
+    value = value / 2.0 + mirror / 2.0 if huge else (value + mirror) / 2.0
+    d, x, y, b = np.split(value, np.cumsum([size, pairs, pairs]))
+    blocks = _ChoiBlocks(n, d.reshape(n, n), x.real, y.real, b)
     pivot_tol = tol * max(stray, blocks.scale())
     if stray > pivot_tol:
         raise ValueError(

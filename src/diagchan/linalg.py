@@ -9,6 +9,7 @@ factorization to rank-deficient positive semidefinite inputs.
 from __future__ import annotations
 
 import math
+from operator import index
 
 import numpy as np
 
@@ -200,17 +201,29 @@ def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
 
     The returned copy is exactly Hermitian, which keeps downstream
     eigenvalue and pivot computations free of imaginary drift. A NaN or
-    negative ``atol`` is refused.
+    negative ``atol`` is refused. The sum is taken on the halves of
+    :func:`_hermitian_halves`, so it does not overflow on finite input.
     """
     if not atol >= 0.0:
         raise ValueError(f"atol must be a number >= 0, got {atol}")
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got shape {m.shape}")
-    drift = max_norm(m - dagger(m))
+    half, mirror = _hermitian_halves(m, atol)
+    return half + mirror
+
+
+def _hermitian_halves(m: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(m / 2, m^* / 2)`` of a finite square matrix, refused unless
+    ``max_norm(m - m^*) <= atol``. The drift is taken on the halves, so it
+    does not overflow either. Halving is exact but for subnormal entries,
+    each of which it moves by at most 2.5e-324, half the least subnormal."""
+    half = m / 2.0
+    mirror = dagger(half)
+    drift = 2.0 * max_norm(half - mirror)
     if drift > atol:
         raise ValueError(f"matrix is not Hermitian: max |M - M^*| = {drift:.3e} > {atol:.1e}")
-    return (m + dagger(m)) / 2.0
+    return half, mirror
 
 
 def hermitian_eigenvalues(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
@@ -298,6 +311,17 @@ def psd_cholesky(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     _check_tolerance(tol)
     a = as_hermitian(h)
     return _psd_cholesky(a, tol * max_norm(a), range(a.shape[0]))
+
+
+def _check_dimension(n) -> int:
+    """n as an int, refused unless it is an integer >= 2."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {n!r}") from None
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
+    return n
 
 
 def _check_tolerance(tol: float) -> None:

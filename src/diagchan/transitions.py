@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import diagonal_block_slice
 from .channels import _coefficient_blocks, _transition_matrix, channel_coefficients
-from .linalg import _check_tolerance
+from .linalg import _check_dimension, _check_tolerance
 
 #: Negative entries above this threshold are rounding noise and clamped to 0.
 CLAMP_ATOL = 1e-12
@@ -55,10 +55,17 @@ def transition_closed_form(t, n: int) -> np.ndarray:
     where tail(m) = sum_{i=m}^{n-1} t[i] / (i (i+1)). For k = 1 the t[k-1]
     term carries coefficient zero and is never evaluated. An entry off the
     diagonal depends only on max(j, k).
+
+    Raises:
+        ValueError: n is not an integer >= 2, t does not hold n-1
+            coefficients, or one of them is not finite.
     """
+    n = _check_dimension(n)
     t = np.asarray(t, dtype=np.float64).ravel()
     if t.size != n - 1:
         raise ValueError(f"expected {n - 1} coefficients for dimension {n}, got {t.size}")
+    if not np.isfinite(t).all():
+        raise ValueError("coefficients must be finite")
     # tail[m-1] = sum_{i=m}^{n-1} t_i / (i(i+1)) for 1-based m and i, summed
     # from i = n-1 down; tail[n-1] = 0.
     i = np.arange(1.0, n)

@@ -29,6 +29,8 @@ echo "[3.432398830065305e+156, $third, $third, $third, -$third, -$third, -$third
 # A coupling of 0.5 over the subnormal diagonal entry 5e-311: at --tol 0 its
 # least pivot overflows the float range, to inf.
 echo '[1e-310, 0.5, 0.5, 0]' > "$dir/subnormal.json"
+# s = a = 1e308: (s + a)/2 overflows the float range, s/2 + a/2 does not.
+echo '[1, 1e308, 1e308, 0]' > "$dir/huge_pair.json"
 # Nested deeper than the JSON parser's recursion limit.
 python -c "print('[' * 100000 + ']' * 100000)" > "$dir/deep.json"
 failed=0
@@ -80,6 +82,11 @@ check 0 verify "${family[@]}"
 check 3 verify --coefficients "$dir/not_cp.json"
 check 3 verify --coefficients "$dir/scaled_cp.json"
 expect out '"cp":true,"tp":false'
+check 3 verify --coefficients "$dir/huge_pair.json"
+expect out '"cp":false'
+check 3 kraus --coefficients "$dir/huge_pair.json"
+expect err "pivot 5.000000e-01 at index 0"
+check 0 choi --coefficients "$dir/huge_pair.json"
 check 2 verify --coefficients "$dir/deep.json"
 expect err "JSON nested too deeply"
 # Kraus extraction and verify at sizes where an n^4-sized Kraus array

@@ -382,3 +382,15 @@ def test_diagonal_block_slice_selects_diagonal_elements():
     for e in block:
         assert max_norm(e - np.diag(np.diag(e))) == 0.0
         assert max_norm(e - dagger(e)) == 0.0
+
+
+def test_basis_entry_points_refuse_a_non_integer_dimension():
+    # 2.0 hashes as 2 does: a cached basis must not be served for it.
+    orthonormal_basis(2)
+    for build in (orthonormal_basis, generalized_pauli,
+                  lambda n: HermitianBasis(n, np.array(PAULI) / np.sqrt(2.0))):
+        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+            build(2.0)
+        with pytest.raises(ValueError, match="dimension must be at least 2, got 1"):
+            build(1)
+        assert len(build(np.int64(2))) == 4

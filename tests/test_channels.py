@@ -253,6 +253,11 @@ def test_composition_multiplies_coefficients(rng):
 @pytest.mark.parametrize("call, message", [
     (lambda: family_parameter_range("depolarizing", 1), "dimension must be at least 2, got 1"),
     (lambda: DiagonalChannel(1, [1.0]), "dimension must be at least 2, got 1"),
+    (lambda: family_parameter_range("depolarizing", 2.0), "dimension must be an integer, got 2.0"),
+    (lambda: DiagonalChannel(2.0, [1.0, 0.0, 0.0, 0.0]), "dimension must be an integer, got 2.0"),
+    (lambda: DiagonalChannel("2", [1.0, 0.0, 0.0, 0.0]), "dimension must be an integer, got '2'"),
+    (lambda: DiagonalChannel.from_family("depolarizing", 2.5, 0.1),
+     "dimension must be an integer, got 2.5"),
     (lambda: DiagonalChannel(2, [1.0, np.nan, 0.0, 0.0]), "coefficients must be finite"),
     (lambda: DiagonalChannel(2, [1.0, 0.0, np.inf, 0.0]), "coefficients must be finite"),
     (lambda: DiagonalChannel(2, [1.0, 0.5, 0.5, 0.5]).compose(DiagonalChannel(3, [1.0] * 9)),
@@ -269,3 +274,32 @@ def test_diagonal_sub_basis_matches_the_row_loop_bit_for_bit():
         w = _diagonal_sub_basis(n)
         assert w.tobytes() == loop_diagonal_sub_basis(n).tobytes()
         assert not w.flags.writeable
+
+
+def test_numpy_integer_dimensions_are_accepted_and_held_as_int():
+    n = np.int64(2)
+    assert family_parameter_range("depolarizing", n) == family_parameter_range("depolarizing", 2)
+    for channel in (DiagonalChannel(n, [1.0, 0.0, 0.0, 0.0]),
+                    DiagonalChannel.from_family("depolarizing", n, 0.1)):
+        assert type(channel.dim) is int
+
+
+# ----------------------------------------------------------------------
+# the float limit
+# ----------------------------------------------------------------------
+
+def test_pair_halves_near_the_float_limit_stay_finite():
+    # (s + a)/2 with s = a = 1e308 overflows; s/2 + a/2 does not. The
+    # coupled block [[0.5, 1e308], [1e308, 0.5]] has eigenvalue 0.5 - 1e308.
+    coeffs = [1.0, 1e308, 1e308, 0.0]
+    assert min_choi_eigenvalue(coeffs) == pytest.approx(-1e308)
+    choi = choi_matrix(coeffs)
+    assert choi[0, 3] == 1e308 and choi[1, 2] == 0.0
+
+
+def test_pair_minima_near_the_float_limit_stay_finite():
+    # n = 3 with diagonal-block coefficients ±1.7e308: a pair block's
+    # x + y overflows, x/2 + y/2 does not.
+    coeffs = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.7e308, -1.7e308]
+    lowest = np.linalg.eigvalsh(choi_matrix(coeffs))[0]
+    assert min_choi_eigenvalue(coeffs) == pytest.approx(lowest, rel=1e-15)

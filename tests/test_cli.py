@@ -252,6 +252,23 @@ def test_verify_flags_non_trace_preserving_vector(capsys, tmp_path):
     assert json.loads(out)["tp"] is False
 
 
+def test_pair_halves_near_the_float_limit_get_their_verdicts(capsys, tmp_path):
+    # s = a = 1e308: (s + a)/2 overflows, s/2 + a/2 = 1e308 does not, and
+    # the coupled block [[0.5, 1e308], [1e308, 0.5]] is far from semidefinite.
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps([1.0, 1e308, 1e308, 0.0]))
+    code, out = run(capsys, "verify", "--coefficients", str(path))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["cp"] is False and doc["tp"] is True
+    assert doc["min_choi_eigenvalue"] == pytest.approx(-1e308)
+    assert main(["kraus", "--coefficients", str(path)]) == 3
+    assert "pivot 5.000000e-01 at index 0" in capsys.readouterr().err
+    code, out = run(capsys, "choi", "--coefficients", str(path))
+    assert code == 0
+    assert doc_to_matrix(json.loads(out))[0, 3] == 1e308
+
+
 def test_verify_rejects_malformed_spec(capsys, tmp_path):
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps([1.0, 0.5, 0.5]))  # not a square count

@@ -399,6 +399,9 @@ def test_closed_form_degenerate_at_boundary():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: KrausSet(1, (), ()), "dimension must be at least 2, got 1"),
+    (lambda: KrausSet(2.0, (np.eye(2),), (0,)), "dimension must be an integer, got 2.0"),
+    (lambda: hybrid_classical_pivots(3.0, 0.1), "dimension must be an integer, got 3.0"),
+    (lambda: hybrid_classical_kraus(3.0, 0.1), "dimension must be an integer, got 3.0"),
     (lambda: KrausSet(2, ([["a", "b"], ["c", "d"]],), (0,)),
      "operators must be 2x2 complex matrices"),
     (lambda: KrausSet(2, (np.eye(2),), (0,)).apply(np.eye(3)),
@@ -414,3 +417,10 @@ def test_kraus_refusals_name_the_problem(call, message):
     with pytest.raises(ValueError) as error:
         call()
     assert str(error.value) == message
+
+
+def test_kraus_entry_points_accept_numpy_integer_dimensions():
+    n = np.int64(2)
+    assert KrausSet(n, (np.eye(2),), (0,)).dim == 2
+    assert hybrid_classical_pivots(n, 0.1).dim == 2
+    assert len(hybrid_classical_kraus(n, 0.1)) == 4

@@ -589,3 +589,20 @@ def test_sparse_gram_takes_its_entries_in_any_order(x, random):
     expected = _sparse_gram(rows, cols, x[rows, cols], m)
     got = _sparse_gram(rows[order], cols[order], x[rows, cols][order], m)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+# ----------------------------------------------------------------------
+# the float limit
+# ----------------------------------------------------------------------
+
+def test_as_hermitian_and_psd_cholesky_keep_entries_near_the_float_limit():
+    # 1.5e308 + 1.5e308 overflows; the halves are summed instead.
+    m = np.diag([1.5e308, 1.5e308])
+    assert np.array_equal(as_hermitian(m), m)
+    assert np.array_equal(psd_cholesky(m), np.diag([np.sqrt(1.5e308)] * 2))
+
+
+def test_as_hermitian_refuses_a_non_hermitian_matrix_near_the_float_limit():
+    # M - M^* overflows here; the drift of the halves does not.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        as_hermitian(np.array([[1e308, 1.7e308], [-1.7e308, 1.0]]))

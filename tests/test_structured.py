@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.testing import assert_allclose
 
 from diagchan.channels import (
     ChannelFamily,
@@ -35,6 +36,7 @@ from diagchan.channels import (
 from diagchan.kraus import (
     KrausSet,
     _factor_blocks,
+    _read_choi,
     kraus_from_channel,
     kraus_from_choi,
     reconstruction_residual,
@@ -245,6 +247,53 @@ def test_both_routes_factor_pair_blocks_whose_squares_overflow():
         assert scaled.source_rows == ks.source_rows
         assert np.array_equal(operator_stack(scaled) * 2.0 ** -260, operator_stack(ks))
     assert kraus_from_channel(coeffs * 2.0 ** 520).completeness_residual() > 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_channels().map(lambda channel: channel[1]),
+       st.sampled_from([1.0, 2.0 ** 520, 2.0 ** -520, 2.0 ** -1040]))
+@example(np.array([1.0, 1e308, 1e308, 0.0]), 1.0)
+def test_choi_reader_inverts_the_writer_bit_for_bit(coeffs, scale):
+    # 2^-1040 makes the coefficients subnormal; [1, 1e308, 1e308, 0] puts
+    # 1e308 in the coupled block, past half the float range.
+    coeffs = coeffs * scale
+    written = _choi_blocks(coeffs)
+    choi = choi_matrix(coeffs)
+    for tol in (DEFAULT_TOL, 0.0):
+        read = _read_choi(choi, tol)[0]
+        assert read.n == written.n
+        for got, want in zip(read[1:], written[1:]):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_choi_reader_keeps_a_choi_matrix_near_the_float_limit():
+    # Scaled by 1.5e308 the coupled block's diagonal sums past the float
+    # range; its halves do not, and the factor is the unscaled one scaled.
+    choi = choi_matrix(DiagonalChannel.from_family("depolarizing", 2, 0.3))
+    ks, scaled = kraus_from_choi(choi), kraus_from_choi(1.5e308 * choi)
+    assert len(scaled) == len(ks) == 4
+    assert scaled.source_rows == ks.source_rows
+    assert_allclose(operator_stack(scaled), np.sqrt(1.5e308) * operator_stack(ks), rtol=1e-14)
+    # An entry and its mirror of opposite sign near the limit: their
+    # difference overflows, that of their halves does not.
+    skewed = 1.5e308 * choi
+    skewed[0, 3] = 1.7e308
+    skewed[3, 0] = -1.7e308
+    with pytest.raises(ValueError, match=r"not Hermitian: max \|M - M\^\*\| = inf"):
+        kraus_from_choi(skewed)
+
+
+def test_both_routes_refuse_pair_halves_near_the_float_limit():
+    # s = a = 1e308: the coupled block [[0.5, 1e308], [1e308, 0.5]] is far
+    # from semidefinite, and the first row of the whole matrix fails.
+    coeffs = np.array([1.0, 1e308, 1e308, 0.0])
+    message = ("pivot 5.000000e-01 at index 0 is too small for its row remainder"
+               " (max 1.000000e+308; needs inf)")
+    for route in (lambda: kraus_from_channel(coeffs), lambda: kraus_from_choi(choi_matrix(coeffs))):
+        with pytest.raises(NotPositiveSemidefiniteError) as error:
+            route()
+        assert str(error.value) == message
 
 
 def test_choi_reader_errors_keep_their_order_and_text():

@@ -56,7 +56,7 @@ def test_direct_memory_is_quadratic():
 # ----------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 40).flatmap(
+@given(st.integers(2, 40).flatmap(
     lambda n: hnp.arrays(np.float64, n - 1, elements=st.floats(-1.0, 1.0))))
 def test_closed_form_equals_entry_loop(t):
     n = t.size + 1
@@ -141,3 +141,12 @@ def test_row_stochastic_check_refuses_a_non_square_matrix(p, shape):
     with pytest.raises(ValueError) as error:
         is_row_stochastic(p)
     assert str(error.value) == f"expected a square matrix, got shape {shape}"
+
+
+def test_closed_form_refuses_a_bad_dimension_or_a_non_finite_coefficient():
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        transition_closed_form([np.nan], 2)
+    with pytest.raises(ValueError, match="dimension must be at least 2, got 1"):
+        transition_closed_form([], 1)
+    with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+        transition_closed_form([0.1], 2.0)
