@@ -245,6 +245,13 @@ class _ChoiBlocks(NamedTuple):
     From a channel, ``d`` is ``M = W^T diag(t) W`` on its diagonal and
     (s+a)/2 off it, ``x = M_ij``, ``y = M_ji`` and ``b = (s-a)/2``, all
     real-valued, and every zero is +0.0, as in :func:`choi_matrix`.
+
+    C's upper triangular factor R, with ``C = R^* R``, has no fill-in and
+    is held in the same record: ``d`` is D's n x n factor, ``x`` and ``y``
+    the roots of each pair's rows i*n+j and j*n+i, and ``b`` the entry of
+    row i*n+j at column j*n+i. The last group of :meth:`entries`, the
+    mirrors of b, then lies below R's diagonal, where R is zero. A
+    factor's blocks can be real: the closed form's ``d`` and ``b`` are.
     """
 
     n: int

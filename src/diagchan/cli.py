@@ -244,11 +244,12 @@ def _cmd_verify(ns):
     if min_eigenvalue >= -ns.tol:
         try:
             kraus_set = kraus_from_channel(coeffs, ns.tol)
-        except NotPositiveSemidefiniteError:
+        except NotPositiveSemidefiniteError as exc:
             # The factorization's pivot test is relative to max_norm(choi),
             # the eigenvalue test absolute: a channel can pass the one and
-            # fail the other. Without a Kraus set it is reported not CP.
-            pass
+            # fail the other. Without a Kraus set it is reported not CP, and
+            # stderr says why, as ``kraus`` does.
+            _report_not_cp(exc)
     cp = kraus_set is not None
     doc = {
         "cp": cp,
@@ -361,6 +362,10 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _report_not_cp(exc: NotPositiveSemidefiniteError) -> None:
+    print(f"error: channel is not completely positive: {exc}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = build_parser().parse_args(_attach_negative_values(argv))
@@ -376,7 +381,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except NotPositiveSemidefiniteError as exc:
-        print(f"error: channel is not completely positive: {exc}", file=sys.stderr)
+        _report_not_cp(exc)
         return EXIT_PROPERTY
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,9 +7,12 @@ into the other widespread convention ``sum_i M_i rho M_i^†``, take
 
 The generic route factors the Choi matrix as ``R^* R`` with R upper
 triangular and reshapes each nonzero row of R (row-major) into an n x n
-operator. R has no fill-in, so it is computed block by block, either from
-a Choi matrix (:func:`kraus_from_choi`) or from the channel's coefficient
-blocks without building that matrix (:func:`kraus_from_channel`). For
+operator. R has no fill-in: it lies on the Choi matrix's own blocks and is
+held in the same record, :class:`~diagchan.channels._ChoiBlocks`, whose
+entry table then gives every entry's row and its place in the operator.
+It is computed block by block, either from a Choi matrix
+(:func:`kraus_from_choi`) or from the channel's coefficient blocks without
+building that matrix (:func:`kraus_from_channel`). For
 the hybrid depolarizing classical family the factor has a closed form
 (:func:`hybrid_classical_kraus`), evaluated directly and ordered
 identically so the two routes can be compared entry by entry.
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import index
-from typing import NamedTuple
 
 import numpy as np
 
@@ -208,7 +210,7 @@ def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> KrausSet:
             row of the whole matrix.
     """
     _check_tolerance(tol)
-    return _factor_blocks(*_read_choi(choi, tol)).kraus_set()
+    return _kraus_set(_factor_blocks(*_read_choi(choi, tol)))
 
 
 def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
@@ -229,7 +231,7 @@ def kraus_from_channel(channel, tol: float = DEFAULT_TOL) -> KrausSet:
     """
     _check_tolerance(tol)
     blocks = _choi_blocks(channel)
-    return _factor_blocks(blocks, tol * blocks.scale()).kraus_set()
+    return _kraus_set(_factor_blocks(blocks, tol * blocks.scale()))
 
 
 #: Largest off-pattern magnitude for which the full Hermiticity pass is
@@ -304,56 +306,13 @@ def _read_choi(choi, tol: float) -> tuple[_ChoiBlocks, float]:
     return blocks, pivot_tol
 
 
-class _BlockFactor(NamedTuple):
-    """The upper triangular factor R of a diagonal channel's Choi matrix,
-    held by block: ``coupled`` is the n x n factor of D on the slots i*n+i,
-    and for every pair i < j, in the order of ``_choi_slots``, ``root`` and
-    ``coupling`` are the entries of row i*n+j at columns i*n+j and j*n+i and
-    ``second_root`` the entry of row j*n+i at its own column. Dropped rows
-    are zero."""
-
-    n: int
-    coupled: np.ndarray
-    root: np.ndarray
-    coupling: np.ndarray
-    second_root: np.ndarray
-
-    def kraus_set(self) -> KrausSet:
-        """Every nonzero row reshaped row-major into an operator, in row order:
-        a row of D gives a diagonal operator, a pair's first row ``root`` at
-        (i, j) and ``coupling`` at (j, i), its second row ``second_root`` at
-        (j, i).
-
-        The set holds the O(n^2) nonzero entries of the rows, put in row
-        order by one stable sort; a row without one is dropped. An entry's
-        position in its operator is its column in R. The finiteness check
-        reads the block values: a non-finite value is nonzero, so its row
-        would be kept.
-        """
-        n = self.n
-        if not all(np.isfinite(v).all()
-                   for v in (self.coupled, self.root, self.coupling, self.second_root)):
-            raise ValueError("matrix entries must be finite")
-        slots = _choi_slots(n)
-        d_row, d_column = np.nonzero(self.coupled)
-        source = np.concatenate([slots.coupled[d_row], slots.upper, slots.upper, slots.lower])
-        position = np.concatenate([slots.coupled[d_column], slots.upper, slots.lower,
-                                   slots.lower])
-        value = np.concatenate([self.coupled[d_row, d_column], self.root, self.coupling,
-                                self.second_root])
-        kept = np.flatnonzero(value)[np.argsort(source[value != 0], kind="stable")]
-        source_rows, counts = np.unique(source[kept], return_counts=True)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        return object.__new__(KrausSet)._hold(n, offsets, position[kept], value[kept],
-                                              source_rows=tuple(source_rows.tolist()))
-
-
-def _factor_blocks(blocks: _ChoiBlocks, pivot_tol: float) -> _BlockFactor:
-    """The semidefinite Cholesky factor of a diagonal channel's Choi matrix
-    from its blocks: the coupled block D, on a copy, by the elimination of
+def _factor_blocks(blocks: _ChoiBlocks, pivot_tol: float) -> _ChoiBlocks:
+    """The semidefinite Cholesky factor R of a diagonal channel's Choi matrix
+    from its blocks, held by block as :class:`~diagchan.channels._ChoiBlocks`
+    holds C: the coupled block D, on a copy, by the elimination of
     :func:`~diagchan.linalg.psd_cholesky` and the pair blocks
     ``[[x, b], [b*, y]]`` all at once by :func:`~diagchan.linalg._pair_cholesky`,
-    with the absolute ``pivot_tol``.
+    with the absolute ``pivot_tol``. Dropped rows are zero.
     Raises the error of the smallest failing row of the whole matrix."""
     n = blocks.n
     slots = _choi_slots(n)
@@ -363,7 +322,35 @@ def _factor_blocks(blocks: _ChoiBlocks, pivot_tol: float) -> _BlockFactor:
     r = _psd_cholesky(blocks.d.copy(), pivot_tol, slots.coupled[slots.coupled < stop])
     if failure is not None:
         raise failure[1]
-    return _BlockFactor(n, r, root, coupling, second_root)
+    return _ChoiBlocks(n, r, root, second_root, coupling)
+
+
+def _kraus_set(factor: _ChoiBlocks) -> KrausSet:
+    """Every nonzero row of the factor R held in ``factor``, reshaped
+    row-major into an operator, in row order.
+
+    R's entries are those of :meth:`~diagchan.channels._ChoiBlocks.entries`
+    less the last group, the mirrors of b, which lie below R's diagonal.
+    The nonzero ones are put in order of their flat position in R, so by
+    row and then column, by one argsort; a row without one is dropped. An
+    entry's row is its source row and its column its position in the
+    operator. The finiteness check reads every value: a non-finite value
+    is nonzero, so its row would be kept.
+    """
+    n = factor.n
+    position, value = factor.entries()
+    upper = position.size - factor.b.size
+    position, value = position[:upper], value[:upper]
+    if not np.isfinite(value).all():
+        raise ValueError("matrix entries must be finite")
+    kept = np.flatnonzero(value)
+    # A stable sort merges the runs in which the groups arrive, mostly sorted.
+    kept = kept[np.argsort(position[kept], kind="stable")]
+    source, column = np.divmod(position[kept], n * n)
+    source_rows, counts = np.unique(source, return_counts=True)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return object.__new__(KrausSet)._hold(n, offsets, column, value[kept],
+                                          source_rows=tuple(source_rows.tolist()))
 
 
 def reconstruction_residual(ks: KrausSet, channel) -> float:
@@ -472,10 +459,12 @@ def hybrid_classical_pivots(n: int, p: float) -> HybridClassicalPivots:
 def hybrid_classical_kraus(n: int, p: float) -> KrausSet:
     """Closed-form Kraus set for the hybrid depolarizing classical family.
 
-    The closed-form factor goes through :meth:`_BlockFactor.kraus_set`, as
-    the factorization routes' do: row m of the coupled block's factor holds
-    ``sqrt(pivots[m])`` on its diagonal and ``offdiags[m]`` over that root
-    right of it, and each pair's two rows hold ``sqrt((1-p)/n)`` alone.
+    The closed-form factor is held in the Choi matrix's block record and
+    goes through :func:`_kraus_set`, as the factorization routes' do: row m
+    of the coupled block's factor holds ``sqrt(pivots[m])`` on its diagonal
+    and ``offdiags[m]`` over that root right of it, and each pair's two rows
+    hold ``sqrt((1-p)/n)`` alone, with a zero coupling. Its blocks are real,
+    and so are the set's entries.
     Strictly inside the family interval the Choi matrix is positive
     definite and its factor unique, so all n^2 operators coincide entry-wise
     and in order with :func:`kraus_from_choi` on it.
@@ -486,4 +475,4 @@ def hybrid_classical_kraus(n: int, p: float) -> KrausSet:
     upper, later = np.triu_indices(n, 1)
     coupled[upper, later] = (data.offdiags / roots[:-1])[upper]
     pairs = np.full(n * (n - 1) // 2, np.sqrt(data.uncoupled))
-    return _BlockFactor(n, coupled, pairs, np.zeros_like(pairs), pairs).kraus_set()
+    return _kraus_set(_ChoiBlocks(n, coupled, pairs, pairs, np.zeros_like(pairs)))

@@ -56,8 +56,21 @@ def max_norm(a) -> float:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm ``sqrt(sum_ij |a_ij|^2)``."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm ``sqrt(sum_ij |a_ij|^2)``, finite for finite ``a``.
+
+    The sum of squares is one ``vdot``, which overflows without a warning,
+    to inf or, in a complex sum, to NaN. Only then is the norm taken again
+    on ``a / max_norm(a)``, whose squares cannot overflow: it is inf only
+    if it exceeds the float range. Input with an inf or a NaN entry has
+    the norm ``max_norm(a)``, inf or NaN.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, 1.0), copy=False)
+    norm = math.sqrt(np.vdot(a, a).real)
+    if math.isfinite(norm):
+        return norm
+    scale = max_norm(a)
+    return scale * frobenius_norm(a / scale) if math.isfinite(scale) else scale
 
 
 def hs_inner(a, b) -> complex:

@@ -31,6 +31,11 @@ echo "[3.432398830065305e+156, $third, $third, $third, -$third, -$third, -$third
 echo '[1e-310, 0.5, 0.5, 0]' > "$dir/subnormal.json"
 # s = a = 1e308: (s + a)/2 overflows the float range, s/2 + a/2 does not.
 echo '[1, 1e308, 1e308, 0]' > "$dir/huge_pair.json"
+# Its smallest Choi eigenvalue, -1e-11, passes the eigenvalue test at the
+# default --tol; a pivot of the factor fails its relative test.
+echo '[1e-3, 5.0000001e-4, -5.0000001e-4, 0]' > "$dir/pivot_refused.json"
+# Unit trace, off-diagonal 1e308: the squares in its Frobenius norm overflow.
+echo '{"shape":[2,2],"entries":[[[0.5,0],[1e308,0]],[[1e308,0],[0.5,0]]]}' > "$dir/huge_state.json"
 # Nested deeper than the JSON parser's recursion limit.
 python -c "print('[' * 100000 + ']' * 100000)" > "$dir/deep.json"
 failed=0
@@ -87,6 +92,9 @@ expect out '"cp":false'
 check 3 kraus --coefficients "$dir/huge_pair.json"
 expect err "pivot 5.000000e-01 at index 0"
 check 0 choi --coefficients "$dir/huge_pair.json"
+check 3 verify --coefficients "$dir/pivot_refused.json"
+expect out '"cp":false'
+expect err "error: channel is not completely positive: pivot 5.000000e-04 at index 1"
 check 2 verify --coefficients "$dir/deep.json"
 expect err "JSON nested too deeply"
 # Kraus extraction and verify at sizes where an n^4-sized Kraus array
@@ -99,6 +107,8 @@ check 0 apply "${family[@]}" --input "$dir/state.json"
 check 0 apply "${family[@]}" --input "$dir/pure.json"
 check 2 apply "${family[@]}" --input "$dir/pure.json" --tol 0
 check 2 apply "${family[@]}" --input "$dir/indefinite.json"
+expect err "semidefinite"
+check 2 apply --n 2 --family depolarizing --p 0.1 --input "$dir/huge_state.json"
 expect err "semidefinite"
 check 0 transition "${family[@]}"
 check 2 choi --n 3 --family depolarizing --p 2

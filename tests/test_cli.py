@@ -615,13 +615,19 @@ def test_verify_reports_channel_the_factorization_rejects(capsys, tmp_path):
     coeffs[0] = 1.0
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps(coeffs.tolist()))
-    code, out = run(capsys, "verify", "--coefficients", str(path))
+    code = main(["verify", "--coefficients", str(path)])
+    captured = capsys.readouterr()
+    out = captured.out
     assert code == 3
     doc = json.loads(out)
     assert doc["cp"] is False
     assert doc["tp"] is True
     assert -1e-10 <= doc["min_choi_eigenvalue"] < 0.0
     assert doc["completeness_residual"] is None
+    # stderr names the refused pivot with the line of ``kraus``.
+    assert captured.err.startswith("error: channel is not completely positive: pivot ")
+    assert main(["kraus", "--coefficients", str(path)]) == 3
+    assert capsys.readouterr().err == captured.err
 
 
 # ----------------------------------------------------------------------

@@ -68,6 +68,26 @@ def test_max_norm_and_frobenius():
     assert frobenius_norm(m) == 5.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frobenius_norm_of_finite_input_is_finite_without_a_warning():
+    # The squares overflow: in a real sum to inf, in a complex one to NaN.
+    # Either is taken again on the matrix scaled by its largest magnitude.
+    # vdot must not warn of the overflow, for contiguous and strided input
+    # alike: a numpy that does fails here.
+    assert frobenius_norm([[1e200, 1e200]]) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    huge = np.full((8, 8), 1e200 + 1e200j)
+    for a, count in ((huge, 64), (huge.T, 64), (huge[::2, ::3], 12)):
+        assert frobenius_norm(a) == pytest.approx(np.sqrt(2.0 * count) * 1e200, rel=1e-15)
+    assert frobenius_norm([[1e308, 1e308]]) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+    # Only a norm beyond the float range, or an inf or NaN entry, is not finite.
+    assert frobenius_norm([[1.5e308, 1.5e308]]) == np.inf
+    assert frobenius_norm([[np.inf, 1.0]]) == np.inf
+    assert np.isnan(frobenius_norm([[np.nan, 1.0]]))
+    # The density-matrix check's rounding bound reads the norm.
+    with pytest.raises(ValueError, match="semidefinite: minimum eigenvalue -1.000e"):
+        as_density_matrix([[0.5, 1e308], [1e308, 0.5]])
+
+
 def test_as_complex_matrix_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         as_complex_matrix([[np.nan, 0], [0, 0]])

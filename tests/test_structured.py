@@ -15,6 +15,7 @@ or not, by construction:
 """
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from diagchan.channels import (
     ChannelFamily,
     DiagonalChannel,
     _choi_blocks,
+    _choi_slots,
     apply_channel,
     choi_matrix,
     family_parameter_range,
@@ -36,12 +38,21 @@ from diagchan.channels import (
 from diagchan.kraus import (
     KrausSet,
     _factor_blocks,
+    _kraus_set,
     _read_choi,
+    hybrid_classical_kraus,
+    hybrid_classical_pivots,
     kraus_from_channel,
     kraus_from_choi,
     reconstruction_residual,
 )
-from diagchan.linalg import DEFAULT_TOL, HERMITIAN_ATOL, NotPositiveSemidefiniteError, max_norm
+from diagchan.linalg import (
+    DEFAULT_TOL,
+    HERMITIAN_ATOL,
+    NotPositiveSemidefiniteError,
+    as_hermitian,
+    max_norm,
+)
 from diagchan.transitions import (
     diagonal_block_coefficients,
     transition_closed_form,
@@ -55,6 +66,7 @@ from oracles import (
     dense_kraus_from_choi,
     dense_min_choi_eigenvalue,
     einsum_kraus_apply,
+    loop_psd_cholesky,
     loop_transition_direct,
     operator_stack,
     unit_loop_residual,
@@ -222,6 +234,67 @@ def test_channel_factor_equals_choi_reader_bit_for_bit(coeffs):
         ks = kraus_from_channel(coeffs, tol)
         assert ks.source_rows == via_choi.source_rows
         assert operator_stack(ks).tobytes() == operator_stack(via_choi).tobytes()
+
+
+def factor_matrix(factor):
+    """The n^2 x n^2 factor R scattered from its block record: the entries
+    of C's pattern but the last group, the mirrors of b, each of which lies
+    below R's diagonal."""
+    position, value = factor.entries()
+    upper = position.size - factor.b.size
+    rows, columns = np.divmod(position[upper:], factor.n ** 2)
+    assert np.all(rows > columns)
+    r = np.zeros(factor.n ** 4, dtype=np.complex128)
+    r[position[:upper]] = value[:upper]
+    return r.reshape(factor.n ** 2, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_channels().map(lambda channel: channel[1]))
+@pinned
+# An odd subnormal coupling, 0x0.0222222222222p-1022 / 2 on D and on b.
+@example(np.concatenate([[0.5, float.fromhex("0x0.0222222222222p-1022")], np.zeros(23)]))
+def test_factor_lies_on_the_choi_layout(coeffs):
+    blocks = _choi_blocks(coeffs)
+    choi = choi_matrix(coeffs)
+    # The oracle factors (C + C^*)/2, summed from halves, and halving moves
+    # an odd subnormal entry: only where it moves none are the factors
+    # equal bit for bit.
+    exact = as_hermitian(choi).tobytes() == choi.tobytes()
+    for tol in (DEFAULT_TOL, 0.0):
+        try:
+            dense = loop_psd_cholesky(choi, tol)
+        except NotPositiveSemidefiniteError:
+            continue
+        r = factor_matrix(_factor_blocks(blocks, tol * blocks.scale()))
+        if exact:
+            assert r.tobytes() == dense.tobytes()
+        else:
+            assert max_norm(r - dense) <= 1e-15 * max(1.0, max_norm(choi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_closed_form_factor_lies_on_the_choi_layout(n, fraction):
+    lo, hi = family_parameter_range(ChannelFamily.HYBRID_DEPOLARIZING_CLASSICAL, n)
+    p = lo + fraction * (hi - lo)
+    with mock.patch("diagchan.kraus._kraus_set", wraps=_kraus_set) as kraus_set:
+        hybrid_classical_kraus(n, p)
+    factor = kraus_set.call_args.args[0]
+    # Real blocks, so that the set's entries are real too.
+    assert factor.d.dtype == factor.b.dtype == np.float64
+    # Row m of the coupled block's factor: sqrt(pivots[m]) on the diagonal,
+    # offdiags[m] over it right of it; each pair's rows sqrt((1-p)/n) alone.
+    data = hybrid_classical_pivots(n, p)
+    slots = _choi_slots(n)
+    want = np.zeros((n * n, n * n), dtype=np.complex128)
+    for m, row in enumerate(slots.coupled):
+        root = np.sqrt(data.pivots[m])
+        want[row, row] = root
+        if m < n - 1:
+            want[row, slots.coupled[m + 1:]] = data.offdiags[m] / root
+    want[slots.upper, slots.upper] = want[slots.lower, slots.lower] = np.sqrt(data.uncoupled)
+    assert factor_matrix(factor).tobytes() == want.tobytes()
 
 
 def test_choi_reader_factors_pair_blocks_whose_squares_underflow():
